@@ -222,8 +222,8 @@ func BenchmarkComprehensiveAnalysis(b *testing.B) {
 // comprehensive analyses plus the phase-2 incremental iterations) on a
 // ~5k-AND circuit, with the persistent incremental CPM cache and the
 // cross-round phase-1 warm start ("cache") and with the pre-reuse
-// from-scratch rebuild of everything ("rebuild": NoCPMCache +
-// NoWarmStart). Both modes are verified to produce identical results
+// from-scratch rebuild of everything ("rebuild": ApproximateRebuild, the
+// engine's NoCPMCache + NoWarmStart hooks). Both modes are verified to produce identical results
 // before timing starts, and the warm run must reuse phase-1 state and
 // make warm comprehensive passes ≥1.4× faster per pass than cold ones.
 // After the run the measurements are written to results/BENCH_phase2.json
@@ -234,20 +234,23 @@ func BenchmarkDualPhase(b *testing.B) {
 	if n := c.NumGates(); n < 4000 {
 		b.Fatalf("benchmark circuit too small: %d ANDs", n)
 	}
-	opts := func(rebuild bool) dpals.Options {
-		return dpals.Options{
-			Flow: dpals.DP, Metric: dpals.MSE,
-			Threshold: dpals.ReferenceError(c) * dpals.ReferenceError(c),
-			Patterns:  1024, Seed: 1, Threads: 1,
-			UseConstLACs: true, MaxIters: 24,
-			// Small fixed round shape: 1 phase-1 apply + N phase-2 applies
-			// per round, so MaxIters 24 spans eight rounds and the
-			// cross-round warm start fires seven times. N is kept small —
-			// every apply invalidates the TFI cones of its fanout, so fewer
-			// applies per round leave more phase-1 rows reusable.
-			M: 18, N: 2,
-			NoCPMCache: rebuild, NoWarmStart: rebuild,
+	opt := dpals.Options{
+		Flow: dpals.DP, Metric: dpals.MSE,
+		Threshold: dpals.ReferenceError(c) * dpals.ReferenceError(c),
+		Patterns:  1024, Seed: 1, Threads: 1,
+		UseConstLACs: true, MaxIters: 24,
+		// Small fixed round shape: 1 phase-1 apply + N phase-2 applies
+		// per round, so MaxIters 24 spans eight rounds and the
+		// cross-round warm start fires seven times. N is kept small —
+		// every apply invalidates the TFI cones of its fanout, so fewer
+		// applies per round leave more phase-1 rows reusable.
+		M: 18, N: 2,
+	}
+	approximate := func(rebuild bool) (*dpals.Result, error) {
+		if rebuild {
+			return dpals.ApproximateRebuild(c, opt)
 		}
+		return dpals.Approximate(c, opt)
 	}
 	// Self-check: the cache must not change the synthesis result. The cache
 	// run is traced and metered; besides proving observation does not
@@ -257,11 +260,11 @@ func BenchmarkDualPhase(b *testing.B) {
 	tracer := obs.New()
 	mets := obs.NewMetrics()
 	ctx := obs.WithMetrics(obs.WithTracer(context.Background(), tracer), mets)
-	withCache, err := dpals.ApproximateContext(ctx, c, opts(false))
+	withCache, err := dpals.ApproximateContext(ctx, c, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	withoutCache, err := dpals.Approximate(c, opts(true))
+	withoutCache, err := approximate(true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +339,7 @@ func BenchmarkDualPhase(b *testing.B) {
 			start := time.Now()
 			var last *dpals.Result
 			for i := 0; i < b.N; i++ {
-				res, err := dpals.Approximate(c, opts(mode.rebuild))
+				res, err := approximate(mode.rebuild)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -221,8 +221,8 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 	for _, flow := range c.flows {
 		for _, mk := range c.metrics {
 			spec := oracle.RunSpec{
-				Flow: flow, Metric: mk, Threshold: thresholdFor(mk, g),
-				Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters,
+				Options: core.Options{Flow: flow, Metric: mk, Threshold: thresholdFor(mk, g),
+					Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters},
 			}
 			if mk == metric.WCE {
 				spec = wceSpec(spec, g)
@@ -232,8 +232,8 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 	}
 	// Metamorphic extras rotate across seeds to keep a sweep affordable.
 	base := oracle.RunSpec{
-		Flow: core.FlowDPSA, Metric: metric.MED, Threshold: thresholdFor(metric.MED, g),
-		Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters,
+		Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: thresholdFor(metric.MED, g),
+			Patterns: c.patterns, Seed: seed, Threads: 1, MaxIters: c.maxIters},
 	}
 	switch seed % 3 {
 	case 0:
@@ -355,7 +355,7 @@ func (c *campaign) faultSweep(g *aig.Graph, base oracle.RunSpec, emit bool) {
 	// skipped incremental cut repair observable (constant LACs only shrink
 	// fanout, leaving stale cuts score-equivalent).
 	sasimi := base
-	sasimi.SASIMI = true
+	sasimi.UseSASIMILACs = true
 	specs = append(specs, sasimi)
 	for _, v := range []struct {
 		flow core.Flow

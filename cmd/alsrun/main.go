@@ -47,8 +47,6 @@ func main() {
 	out := flag.String("o", "", "output file (.blif or .aag); empty: no output written")
 	maxIters := flag.Int("max-iters", 0, "cap on applied LACs (0 = unlimited)")
 	timeLimit := flag.Duration("time-limit", 0, "wall-clock budget; on expiry the best-so-far circuit is written (0 = unlimited)")
-	noCache := flag.Bool("no-cpm-cache", false, "disable the incremental CPM cache (A/B baseline)")
-	noWarm := flag.Bool("no-warm-start", false, "disable the cross-round phase-1 reuse (A/B baseline)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file (taken after the run)")
 	statsOut := flag.String("stats", "", "write run statistics (step times, work counters, MTrace, reuse rate) as JSON to this file")
@@ -67,19 +65,10 @@ func main() {
 	c, err := load(flag.Arg(0))
 	check(err)
 
-	flows := map[string]dpals.Flow{
-		"conventional": dpals.Conventional, "vecbee": dpals.VECBEE,
-		"accals": dpals.AccALS, "dp": dpals.DP, "dpsa": dpals.DPSA,
-	}
-	flow, ok := flows[strings.ToLower(*flowName)]
-	if !ok {
-		check(fmt.Errorf("unknown flow %q", *flowName))
-	}
-	metrics := map[string]dpals.Metric{"er": dpals.ER, "mse": dpals.MSE, "med": dpals.MED, "mhd": dpals.MHD, "wce": dpals.WCE}
-	m, ok := metrics[strings.ToLower(*metricName)]
-	if !ok {
-		check(fmt.Errorf("unknown metric %q", *metricName))
-	}
+	flow, err := dpals.ParseFlow(*flowName)
+	check(err)
+	m, err := dpals.ParseMetric(*metricName)
+	check(err)
 	thr := *threshold
 	bound := *wceBound
 	if m == dpals.WCE {
@@ -194,9 +183,7 @@ func main() {
 		Patterns: *patterns, Seed: *seed, Threads: *threads,
 		UseConstLACs: true, UseSASIMILACs: *sasimi,
 		DepthLimit: *depth, MaxIters: *maxIters,
-		TimeLimit:   *timeLimit,
-		NoCPMCache:  *noCache,
-		NoWarmStart: *noWarm,
+		TimeLimit: *timeLimit,
 	}
 	if m == dpals.WCE {
 		opt.WCEBound = bound
@@ -287,8 +274,9 @@ func main() {
 }
 
 // runStats is the JSON schema written by -stats: run configuration, final
-// quality, step-time and deterministic step-work profiles, CPM cache reuse,
-// and the DP-SA MTrace.
+// quality, the run's Stats through their own JSON tags (step and phase
+// times, deterministic work profile, CPM reuse, MTrace, certification),
+// and the rates derived from them.
 type runStats struct {
 	Flow      string  `json:"flow"`
 	Metric    string  `json:"metric"`
@@ -298,48 +286,13 @@ type runStats struct {
 	AreaRatio float64 `json:"area_ratio"`
 	ADPRatio  float64 `json:"adp_ratio"`
 
-	Applied       int   `json:"applied"`
-	Comprehensive int   `json:"comprehensive"`
-	Incremental   int   `json:"incremental"`
-	Rollbacks     int   `json:"rollbacks"`
-	RuntimeNS     int64 `json:"runtime_ns"`
-	CutTimeNS     int64 `json:"cut_time_ns"`
-	CPMTimeNS     int64 `json:"cpm_time_ns"`
-	EvalTimeNS    int64 `json:"eval_time_ns"`
-	Phase1TimeNS  int64 `json:"phase1_time_ns"`
-	Phase2TimeNS  int64 `json:"phase2_time_ns"`
+	dpals.Stats
 
-	CutWork  int64 `json:"cut_work"`
-	CPMWork  int64 `json:"cpm_work"`
-	EvalWork int64 `json:"eval_work"`
-
-	CPMRowsReused     int64   `json:"cpm_rows_reused"`
-	CPMRowsRecomputed int64   `json:"cpm_rows_recomputed"`
-	ReuseRate         float64 `json:"reuse_rate"`
-
-	// Cross-round phase-1 reuse (dual-phase flows; zero with
-	// -no-warm-start or for flows without warm starts).
-	WarmComprehensive int     `json:"warm_comprehensive,omitempty"`
-	Phase1WarmTimeNS  int64   `json:"phase1_warm_time_ns,omitempty"`
-	Phase1ReuseRate   float64 `json:"phase1_reuse_rate,omitempty"`
-	CutUpdates        int     `json:"cut_updates_incremental,omitempty"`
-	EvalMemoHits      int64   `json:"eval_memo_hits,omitempty"`
-	SkippedWork       int64   `json:"skipped_work,omitempty"`
-
-	PoolGets    int64   `json:"pool_gets,omitempty"`
-	PoolReuses  int64   `json:"pool_reuses,omitempty"`
-	PoolHitRate float64 `json:"pool_hit_rate,omitempty"`
-
-	MTrace []int `json:"m_trace,omitempty"`
-
-	// WCE certification accounting (metric wce only).
-	CertifiedWCE  uint64 `json:"certified_wce,omitempty"`
-	CertCalls     int    `json:"cert_calls,omitempty"`
-	CertCexHits   int    `json:"cert_cex_hits,omitempty"`
-	CertRollbacks int    `json:"cert_rollbacks,omitempty"`
-	CertTimeNS    int64  `json:"cert_time_ns,omitempty"`
-
-	StopReason string `json:"stop_reason"`
+	ReuseRate       float64 `json:"reuse_rate"`
+	Phase1ReuseRate float64 `json:"phase1_reuse_rate,omitempty"`
+	PoolGets        int64   `json:"pool_gets,omitempty"`
+	PoolReuses      int64   `json:"pool_reuses,omitempty"`
+	PoolHitRate     float64 `json:"pool_hit_rate,omitempty"`
 }
 
 func writeStats(path string, flow dpals.Flow, m dpals.Metric, thr float64, res *dpals.Result) error {
@@ -352,45 +305,13 @@ func writeStats(path string, flow dpals.Flow, m dpals.Metric, thr float64, res *
 		AreaRatio: res.AreaRatio,
 		ADPRatio:  res.ADPRatio,
 
-		Applied:       res.Stats.Applied,
-		Comprehensive: res.Stats.Comprehensive,
-		Incremental:   res.Stats.Incremental,
-		Rollbacks:     res.Stats.Rollbacks,
-		RuntimeNS:     res.Stats.Runtime.Nanoseconds(),
-		CutTimeNS:     res.Stats.CutTime.Nanoseconds(),
-		CPMTimeNS:     res.Stats.CPMTime.Nanoseconds(),
-		EvalTimeNS:    res.Stats.EvalTime.Nanoseconds(),
-		Phase1TimeNS:  res.Stats.Phase1Time.Nanoseconds(),
-		Phase2TimeNS:  res.Stats.Phase2Time.Nanoseconds(),
+		Stats: res.Stats,
 
-		CutWork:  res.Stats.CutWork,
-		CPMWork:  res.Stats.CPMWork,
-		EvalWork: res.Stats.EvalWork,
-
-		CPMRowsReused:     res.Stats.CPMRowsReused,
-		CPMRowsRecomputed: res.Stats.CPMRowsRecomputed,
-		ReuseRate:         res.Stats.ReuseRate(),
-
-		WarmComprehensive: res.Stats.WarmComprehensive,
-		Phase1WarmTimeNS:  res.Stats.Phase1WarmTime.Nanoseconds(),
-		Phase1ReuseRate:   res.Stats.Phase1ReuseRate(),
-		CutUpdates:        res.Stats.CutUpdates,
-		EvalMemoHits:      res.Stats.EvalMemoHits,
-		SkippedWork:       res.Stats.SkippedWork,
-
-		PoolGets:    res.Stats.Pool.Gets,
-		PoolReuses:  res.Stats.Pool.Reuses,
-		PoolHitRate: res.Stats.Pool.HitRate(),
-
-		MTrace: res.Stats.MTrace,
-
-		CertifiedWCE:  res.Stats.CertifiedWCE,
-		CertCalls:     res.Stats.CertCalls,
-		CertCexHits:   res.Stats.CertCexHits,
-		CertRollbacks: res.Stats.CertRollbacks,
-		CertTimeNS:    res.Stats.CertTime.Nanoseconds(),
-
-		StopReason: string(res.Stats.StopReason),
+		ReuseRate:       res.Stats.ReuseRate(),
+		Phase1ReuseRate: res.Stats.Phase1ReuseRate(),
+		PoolGets:        res.Stats.Pool.Gets,
+		PoolReuses:      res.Stats.Pool.Reuses,
+		PoolHitRate:     res.Stats.Pool.HitRate(),
 	}
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {

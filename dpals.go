@@ -29,9 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
-	"time"
 
 	"dpals/internal/aig"
 	"dpals/internal/aiger"
@@ -40,7 +38,6 @@ import (
 	"dpals/internal/core"
 	"dpals/internal/equiv"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/lutmap"
 	"dpals/internal/metric"
 	"dpals/internal/sim"
@@ -48,50 +45,46 @@ import (
 	"dpals/internal/verilog"
 )
 
-// Metric selects the statistical error metric.
-type Metric int
+// Metric selects the error metric.
+type Metric = metric.Kind
 
 // Supported error metrics.
 const (
 	// ER is the error rate: the fraction of input patterns for which any
 	// output bit differs from the exact circuit.
-	ER Metric = iota
+	ER = metric.ER
 	// MSE is the mean squared error of the numeric output value.
-	MSE
+	MSE = metric.MSE
 	// MED is the mean error distance (mean absolute numeric deviation).
-	MED
+	MED = metric.MED
 	// MHD is the mean Hamming distance: the average number of output bits
 	// that differ from the exact circuit per pattern.
-	MHD
+	MHD = metric.MHD
 	// WCE is the worst-case error: the maximum absolute numeric deviation
 	// over ALL inputs, with outputs read as unsigned LSB-first integers
 	// (Weights must be nil, ≤ 62 outputs). Unlike the statistical metrics
 	// above, WCE runs are SAT-certified: every returned circuit carries a
 	// formally proven bound in Stats.CertifiedWCE ≤ Options.WCEBound.
-	WCE
+	WCE = metric.WCE
 )
 
-func (m Metric) String() string { return metric.Kind(m).String() }
-
 // Flow selects the synthesis algorithm.
-type Flow int
+type Flow = core.Flow
 
 // Supported flows.
 const (
 	// Conventional: one LAC per iteration, full (comprehensive) error
 	// analysis every iteration — the enhanced-VECBEE baseline.
-	Conventional Flow = iota
+	Conventional = core.FlowConventional
 	// VECBEE: the original one-cut VECBEE baseline; see Options.DepthLimit.
-	VECBEE
+	VECBEE = core.FlowVECBEE
 	// AccALS: multiple LACs per iteration with validation and rollback.
-	AccALS
+	AccALS = core.FlowAccALS
 	// DP: the dual-phase framework (the paper's contribution).
-	DP
+	DP = core.FlowDP
 	// DPSA: DP plus the two self-adaption techniques.
-	DPSA
+	DPSA = core.FlowDPSA
 )
-
-func (f Flow) String() string { return core.Flow(f).String() }
 
 // ParseFlow parses a flow name as accepted by the command-line tools and
 // the alsd server: "conventional", "vecbee", "accals", "dp", "dpsa" (or
@@ -327,149 +320,20 @@ func BenchmarkSuite(scaled bool) []Benchmark {
 	return out
 }
 
-// Seed handling. Options.Seed = 0 is the zero value and therefore cannot
-// mean "seed the RNG with 0": it is a documented alias for DefaultSeed,
-// normalised exactly once at the API boundary (see Options.Resolved). Two
-// runs whose resolved options agree — in particular, Seed: 0 and
-// Seed: DefaultSeed — draw identical patterns and return bit-identical
-// results; any two distinct resolved seeds are independent runs.
+// Seed handling: Options.Seed = 0 (UseDefaultSeed) is an alias for
+// DefaultSeed, normalised by Options.Resolved, so Seed: 0 and
+// Seed: DefaultSeed return bit-identical results.
 const (
-	// UseDefaultSeed is the zero value of Options.Seed: an alias for
-	// DefaultSeed, not a seed of its own.
-	UseDefaultSeed int64 = 0
-	// DefaultSeed is the simulation seed an unset (zero) Options.Seed
-	// resolves to.
-	DefaultSeed int64 = 1
+	UseDefaultSeed = core.UseDefaultSeed
+	DefaultSeed    = core.DefaultSeed
 )
 
-// Options configures Approximate. Zero values select sensible defaults
-// (8192 patterns, seed DefaultSeed, constant LACs, all CPUs).
-type Options struct {
-	Flow      Flow
-	Metric    Metric
-	Threshold float64   // error budget: ER fraction, or absolute MSE/MED
-	Weights   []float64 // numeric PO weights; nil uses the circuit's recommendation
-
-	Patterns int // Monte-Carlo patterns (default 8192)
-	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
-	// an alias for DefaultSeed — see the constants above. Every non-zero
-	// seed is its own independent run.
-	Seed int64
-	// Threads is the worker count for the whole analysis pipeline
-	// (simulation, cuts, CPM, LAC evaluation): ≤0 uses all CPUs, 1 runs
-	// serially. Results are bit-identical for every value.
-	Threads int
-
-	// Exhaustive enumerates all 2^inputs patterns instead of sampling,
-	// making every error figure exact. Limited to ≤ 24 inputs.
-	Exhaustive bool
-
-	// InputProbabilities biases the input distribution: entry i is the
-	// probability that input i is 1 (missing entries default to 0.5).
-	// Error metrics are then measured under that workload distribution.
-	InputProbabilities []float64
-
-	UseConstLACs   bool // constant-0/1 replacements (default true if neither set)
-	UseSASIMILACs  bool // SASIMI signal substitution
-	MaxLACsPerNode int  // SASIMI candidates per node (default 8)
-
-	// WCEBound is the worst-case error budget for Metric == WCE: the run
-	// only emits circuits whose maximum absolute numeric deviation is
-	// SAT-certified ≤ WCEBound on every input. Ignored (and rejected when
-	// non-zero) for other metrics, which use Threshold instead.
-	WCEBound uint64
-	// CertEvery amortises SAT certification on the WCE path: a
-	// certification call covers up to CertEvery accepted LACs (plus one
-	// final call before emit). ≤ 0 selects the default of 8.
-	CertEvery int
-	// CertConflictLimit caps each SAT certification call at that many
-	// solver conflicts (0 = unlimited). A call that exhausts its budget
-	// counts as a failed certification and triggers rollback, keeping the
-	// emitted bound sound; the run then stops deterministically.
-	CertConflictLimit int64
-
-	DepthLimit int // VECBEE depth limit l (0 = ∞)
-	M, N       int // dual-phase parameters (0 = paper defaults)
-	MaxIters   int // cap on applied LACs (0 = unlimited)
-
-	// TimeLimit bounds the wall-clock time of the run (0 = unlimited).
-	// When it expires the run stops cooperatively — within one analysis
-	// wave — and returns the valid best-so-far circuit with
-	// Stats.StopReason = StopDeadline. Composes with ApproximateContext:
-	// whichever of the context and the limit fires first stops the run.
-	TimeLimit time.Duration
-
-	// NoCPMCache disables the persistent incremental CPM cache of the
-	// dual-phase flows, rebuilding the phase-2 CPM from scratch every
-	// iteration. Results are bit-identical either way; for A/B
-	// benchmarking only.
-	NoCPMCache bool
-
-	// NoWarmStart disables the cross-round phase-1 reuse of the dual-phase
-	// flows: every comprehensive analysis rebuilds the cut set, the CPM and
-	// the LAC evaluations from scratch instead of carrying the
-	// incrementally maintained state across round boundaries. Results are
-	// bit-identical either way; for A/B benchmarking only.
-	NoWarmStart bool
-}
-
-// Resolved returns o with every defaulted knob replaced by the value the
-// run will actually use: Patterns 8192 when unset, Seed DefaultSeed when
-// UseDefaultSeed, Threads all CPUs when ≤ 0, constant LACs when no LAC
-// kind is enabled, negative structural knobs (DepthLimit, M, N,
-// MaxIters, MaxLACsPerNode) clamped to their 0 "default" sentinel, and
-// the WCE certification knobs normalised (CertEvery defaults to 8 on the
-// WCE path; all three are inert — zeroed — for other metrics).
-// Approximate(c, o) ≡ Approximate(c, o.Resolved()) bit-identically — the
-// boundary normalises through this method — so resolved options are the
-// right identity for memoising results: two calls with equal resolved
-// options (and equal circuits and weights) return identical results,
-// Threads aside, which never changes results. The alsd server keys its
-// result cache on exactly this.
-func (o Options) Resolved() Options {
-	if o.Patterns <= 0 {
-		o.Patterns = 8192
-	}
-	if o.Seed == UseDefaultSeed {
-		o.Seed = DefaultSeed
-	}
-	if o.Threads <= 0 {
-		o.Threads = runtime.GOMAXPROCS(0)
-	}
-	if !o.UseConstLACs && !o.UseSASIMILACs {
-		o.UseConstLACs = true
-	}
-	if o.MaxLACsPerNode < 0 {
-		o.MaxLACsPerNode = 0
-	}
-	if o.DepthLimit < 0 {
-		o.DepthLimit = 0
-	}
-	if o.M < 0 {
-		o.M = 0
-	}
-	if o.N < 0 {
-		o.N = 0
-	}
-	if o.MaxIters < 0 {
-		o.MaxIters = 0
-	}
-	if o.Metric == WCE {
-		if o.CertEvery <= 0 {
-			o.CertEvery = 8
-		}
-		if o.CertConflictLimit < 0 {
-			o.CertConflictLimit = 0
-		}
-	} else {
-		// The certification knobs only exist on the WCE path; zeroing them
-		// here keeps resolved options a sound cache identity for the other
-		// metrics (WCEBound ≠ 0 is rejected at the boundary anyway).
-		o.CertEvery = 0
-		o.CertConflictLimit = 0
-	}
-	return o
-}
+// Options configures Approximate. Zero values select the defaults (8192
+// patterns, seed DefaultSeed, constant LACs, all CPUs, the paper's M and
+// N); Options.Resolved returns the options with every default applied, and
+// Approximate(c, o) ≡ Approximate(c, o.Resolved()) bit-identically.
+// Weights = nil uses the circuit's recommended weights.
+type Options = core.Options
 
 // StopReason tells why a synthesis run ended. Runs stopped by a context
 // or deadline still return a valid best-so-far result; StopReason is how
@@ -489,109 +353,11 @@ const (
 	StopDeadline = core.StopDeadline
 )
 
-// Stats reports what a run did.
-type Stats struct {
-	Applied       int // LACs applied
-	Comprehensive int // comprehensive (phase-1) analyses
-	Incremental   int // incremental (phase-2) iterations
-	Rollbacks     int
-	Runtime       time.Duration
-	CutTime       time.Duration // step 1: disjoint cuts
-	CPMTime       time.Duration // step 2: change propagation matrix
-	EvalTime      time.Duration // step 3: LAC error evaluation
-
-	// Phase1Time/Phase2Time are the cumulated wall-clock times of the two
-	// phases, derived from the engine's span tree (the same durations a
-	// -trace export shows): Phase1Time covers every comprehensive analysis,
-	// Phase2Time the incremental phase-2 loops of the dual-phase flows,
-	// applies included. Phase1WarmTime is the slice of Phase1Time spent in
-	// warm-started comprehensive passes (see WarmComprehensive).
-	Phase1Time     time.Duration
-	Phase2Time     time.Duration
-	Phase1WarmTime time.Duration
-
-	// Deterministic per-step work estimates in bit-vector word operations
-	// — the profile DP-SA's self-adaption tunes from. Unlike the *Time
-	// fields they are identical between runs for every Threads value.
-	CutWork  int64
-	CPMWork  int64
-	EvalWork int64
-
-	// CPM cache accounting (dual-phase flows): rows served from the
-	// persistent incremental cache versus recomputed, across all analyses
-	// of the run. Zero when the cache is disabled or unused by the flow.
-	CPMRowsReused     int64
-	CPMRowsRecomputed int64
-
-	// Cross-round warm-start accounting (dual-phase flows, zero with
-	// Options.NoWarmStart): WarmComprehensive counts the comprehensive
-	// passes that reused the incrementally maintained analysis state
-	// instead of rebuilding cold; Phase1RowsReused / Phase1RowsRecomputed
-	// split the CPM rows of those phase-1 analyses; SkippedWork is the
-	// total charged-but-not-performed work (word operations) across cuts,
-	// CPM and evaluation — it is included in CutWork/CPMWork/EvalWork so
-	// those stay identical to a cold run; EvalMemoHits counts target
-	// evaluations served from the cross-round memo.
-	WarmComprehensive    int
-	Phase1RowsReused     int64
-	Phase1RowsRecomputed int64
-	SkippedWork          int64
-	EvalMemoHits         int64
-
-	// CutUpdates counts the incremental cut-set repairs performed after
-	// applied LACs (dual-phase flows): each applied LAC in those flows
-	// patches the affected cut cones in place instead of rebuilding the
-	// set, and this is how often that happened. Deterministic.
-	CutUpdates int
-
-	// Pool is the final snapshot of the CPM cache's bit-vector free list
-	// (dual-phase flows with the cache enabled; zero otherwise):
-	// allocation-avoidance accounting, deterministic across thread counts.
-	Pool bitvec.PoolStats
-
-	// MTrace is the DP-SA self-adaption trajectory: the candidate-set size
-	// M after each dual-phase round. Nil for other flows.
-	MTrace []int
-
-	// WCE certification accounting (Metric == WCE only; zero otherwise).
-	// CertifiedWCE is the SAT-proven worst-case error bound of the returned
-	// circuit: the solver certified that NO input deviates by more than
-	// this, so it holds on all 2^PIs inputs, not just the training
-	// patterns, and never exceeds Options.WCEBound. CertCalls counts SAT
-	// certification calls, CertCexHits the candidate batches refuted by a
-	// cached counterexample without touching the solver, CertRollbacks the
-	// certification failures that rolled the circuit back to its last
-	// certified state, and CertTime the wall clock spent certifying.
-	CertifiedWCE  uint64
-	CertCalls     int
-	CertCexHits   int
-	CertRollbacks int
-	CertTime      time.Duration
-
-	// StopReason tells why the run ended (StopBudget, StopMaxIters,
-	// StopCancelled, StopDeadline). Always set.
-	StopReason StopReason
-}
-
-// ReuseRate returns the fraction of needed CPM rows that were served from
-// the incremental cache (0 when the cache saw no rows).
-func (s Stats) ReuseRate() float64 {
-	total := s.CPMRowsReused + s.CPMRowsRecomputed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CPMRowsReused) / float64(total)
-}
-
-// Phase1ReuseRate returns the fraction of phase-1 CPM rows served from the
-// cross-round warm start (0 when no comprehensive pass used the cache).
-func (s Stats) Phase1ReuseRate() float64 {
-	total := s.Phase1RowsReused + s.Phase1RowsRecomputed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Phase1RowsReused) / float64(total)
-}
+// Stats reports what a run did: iteration and phase counts, step and
+// phase times, the deterministic work profile DP-SA tunes from, CPM reuse
+// and warm-start accounting, WCE certification figures and the stop
+// reason.
+type Stats = core.Stats
 
 // Result of Approximate.
 type Result struct {
@@ -626,18 +392,24 @@ func Approximate(c *Circuit, opt Options) (*Result, error) {
 // count. Errors are returned only for invalid configurations, never for
 // cancellation.
 func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, error) {
+	return approximate(ctx, c, opt, core.Hooks{})
+}
+
+// approximate is ApproximateContext with the engine's internal test hooks;
+// the public API always passes the zero Hooks.
+func approximate(ctx context.Context, c *Circuit, opt Options, hooks core.Hooks) (*Result, error) {
 	if c == nil || c.g == nil {
 		return nil, errors.New("dpals: nil circuit")
 	}
-	if opt.Weights != nil && len(opt.Weights) != c.NumOutputs() {
-		return nil, fmt.Errorf("dpals: %d weights for %d outputs", len(opt.Weights), c.NumOutputs())
+	if err := opt.Validate(c.NumInputs(), c.NumOutputs()); err != nil {
+		return nil, fmt.Errorf("dpals: %w", err)
 	}
-	// Normalise every defaulted knob exactly once, at the boundary: below
-	// here opt.Seed, opt.Patterns etc. are the values the run uses, with
-	// no second defaulting site that could disagree (the old code mapped
-	// Seed != 0 only, silently aliasing an explicit Seed: 0 to 1 without
-	// anything a caller — or a result cache — could observe).
-	opt = opt.Resolved()
+	// WCE is defined over the unsigned LSB-first interpretation only (the
+	// SAT certifier proves bounds on that reading), so the circuit's
+	// recommended weights are ignored there.
+	if opt.Weights == nil && opt.Metric != WCE {
+		opt.Weights = c.weights
+	}
 	// Snapshot the shared graph before any analysis touches it: Clone
 	// reads but never writes the receiver, whereas Sweep and techmap.Map
 	// warm the graph's lazily cached traversal state (topo order, levels,
@@ -645,44 +417,7 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	// Everything below runs against the private clone, which maps and
 	// sweeps bit-identically to the original.
 	g := c.g.Clone()
-	iopt := core.DefaultOptions(core.Flow(opt.Flow), metric.Kind(opt.Metric), opt.Threshold)
-	iopt.Patterns = opt.Patterns
-	iopt.Seed = opt.Seed
-	iopt.Threads = opt.Threads
-	iopt.Exhaustive = opt.Exhaustive
-	iopt.InputProbabilities = opt.InputProbabilities
-	iopt.DepthLimit = opt.DepthLimit
-	iopt.M, iopt.N = opt.M, opt.N
-	iopt.MaxIters = opt.MaxIters
-	iopt.WCEBound = opt.WCEBound
-	iopt.CertEvery = opt.CertEvery
-	iopt.CertConflictLimit = opt.CertConflictLimit
-	iopt.TimeLimit = opt.TimeLimit
-	iopt.NoCPMCache = opt.NoCPMCache
-	iopt.NoWarmStart = opt.NoWarmStart
-	iopt.LACs = lac.Options{
-		Constants:  opt.UseConstLACs,
-		SASIMI:     opt.UseSASIMILACs,
-		MaxPerNode: opt.MaxLACsPerNode,
-	}
-	weights := opt.Weights
-	if weights == nil {
-		weights = c.weights
-	}
-	if opt.Metric == WCE {
-		// WCE is defined over the unsigned LSB-first interpretation only:
-		// the SAT certifier proves bounds on that reading, so a weighted
-		// reading would certify the wrong quantity. Reject explicit weights
-		// and ignore the circuit's recommendation rather than silently
-		// certifying something other than what was measured.
-		if opt.Weights != nil {
-			return nil, errors.New("dpals: Metric WCE uses the unsigned LSB-first output interpretation; Weights must be nil")
-		}
-		weights = nil
-	}
-	iopt.Weights = weights
-
-	res, err := core.RunContext(ctx, g, iopt)
+	res, err := core.RunContext(ctx, g, opt, hooks)
 	if err != nil {
 		return nil, err
 	}
@@ -690,41 +425,10 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	mo := techmap.Map(g, lib)
 	ma := techmap.Map(res.Graph, lib)
 	out := &Result{
-		Circuit:  &Circuit{g: res.Graph, weights: weights},
+		Circuit:  &Circuit{g: res.Graph, weights: opt.Weights},
 		Error:    res.Error,
 		ADPRatio: techmap.ADPRatio(ma, mo),
-		Stats: Stats{
-			Applied:              res.Stats.Applied,
-			Comprehensive:        res.Stats.Phase1,
-			Incremental:          res.Stats.Phase2,
-			Rollbacks:            res.Stats.Rollbacks,
-			Runtime:              res.Stats.Runtime,
-			CutTime:              res.Stats.Step.Cuts,
-			CPMTime:              res.Stats.Step.CPM,
-			EvalTime:             res.Stats.Step.Eval,
-			Phase1Time:           res.Stats.PhaseTime.Phase1,
-			Phase2Time:           res.Stats.PhaseTime.Phase2,
-			Phase1WarmTime:       res.Stats.PhaseTime.Phase1Warm,
-			Pool:                 res.Stats.Pool,
-			CutWork:              res.Stats.Work.Cuts,
-			CPMWork:              res.Stats.Work.CPM,
-			EvalWork:             res.Stats.Work.Eval,
-			CPMRowsReused:        res.Stats.Work.CPMRowsReused,
-			CPMRowsRecomputed:    res.Stats.Work.CPMRowsRecomputed,
-			WarmComprehensive:    res.Stats.Phase1Warm,
-			Phase1RowsReused:     res.Stats.Work.CPMRowsReusedPhase1,
-			Phase1RowsRecomputed: res.Stats.Work.CPMRowsRecomputedPhase1,
-			SkippedWork:          res.Stats.Work.CutsSkipped + res.Stats.Work.CPMSkipped + res.Stats.Work.EvalSkipped,
-			EvalMemoHits:         res.Stats.Work.EvalMemoHits,
-			CutUpdates:           res.Stats.CutUpdates,
-			MTrace:               res.Stats.MTrace,
-			CertifiedWCE:         res.Stats.CertifiedWCE,
-			CertCalls:            res.Stats.CertCalls,
-			CertCexHits:          res.Stats.CertCexHits,
-			CertRollbacks:        res.Stats.CertRollbacks,
-			CertTime:             res.Stats.CertTime,
-			StopReason:           res.Stats.StopReason,
-		},
+		Stats:    res.Stats,
 	}
 	if mo.Area > 0 {
 		out.AreaRatio = ma.Area / mo.Area
@@ -735,69 +439,64 @@ func ApproximateContext(ctx context.Context, c *Circuit, opt Options) (*Result, 
 	return out, nil
 }
 
+// MeasureError computes the error of approx against orig from scratch by
+// simulating both circuits on the same patterns — an independent check of
+// a synthesis result. The circuits must have identical PI/PO interfaces.
+func MeasureError(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64) (float64, error) {
+	return measure(orig, approx, m, weights, sim.Options{Patterns: orDefaultPatterns(patterns), Seed: seed})
+}
+
 // MeasureErrorBiased is MeasureError under a biased input distribution
 // (entry i = probability input i is 1); pass the same probabilities that
 // were used for synthesis.
 func MeasureErrorBiased(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64, probs []float64) (float64, error) {
-	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
-		return 0, fmt.Errorf("dpals: interface mismatch")
+	return measure(orig, approx, m, weights, sim.Options{Patterns: orDefaultPatterns(patterns), Seed: seed, Dist: sim.Biased{P: probs}})
+}
+
+// MeasureErrorExact computes the exact error of approx against orig by
+// enumerating every input combination (≤ 24 inputs).
+func MeasureErrorExact(orig, approx *Circuit, m Metric, weights []float64) (float64, error) {
+	if n := orig.NumInputs(); n > core.MaxExhaustiveInputs {
+		return 0, fmt.Errorf("dpals: exhaustive measurement infeasible for %d inputs (max %d)", n, core.MaxExhaustiveInputs)
 	}
+	return measure(orig, approx, m, weights, sim.Options{Patterns: 1 << orig.NumInputs(), Dist: sim.Exhaustive{}})
+}
+
+func orDefaultPatterns(patterns int) int {
 	if patterns <= 0 {
-		patterns = 8192
+		return 8192
 	}
-	dist := sim.Biased{P: probs}
-	so := sim.New(orig.snap(), sim.Options{Patterns: patterns, Seed: seed, Dist: dist})
-	sa := sim.New(approx.snap(), sim.Options{Patterns: patterns, Seed: seed, Dist: dist})
+	return patterns
+}
+
+// measure simulates orig and approx on the patterns so draws and computes
+// metric m of approx against orig.
+func measure(orig, approx *Circuit, m Metric, weights []float64, so sim.Options) (float64, error) {
+	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
+		return 0, fmt.Errorf("dpals: interface mismatch (%d/%d inputs, %d/%d outputs)",
+			orig.NumInputs(), approx.NumInputs(), orig.NumOutputs(), approx.NumOutputs())
+	}
+	se := sim.New(orig.snap(), so)
+	sa := sim.New(approx.snap(), so)
 	eo := make([]bitvec.Vec, orig.NumOutputs())
 	ea := make([]bitvec.Vec, orig.NumOutputs())
 	for o := range eo {
-		eo[o] = bitvec.NewWords(so.Words())
-		so.POVal(o, eo[o])
+		eo[o] = bitvec.NewWords(se.Words())
+		se.POVal(o, eo[o])
 		ea[o] = bitvec.NewWords(sa.Words())
 		sa.POVal(o, ea[o])
 	}
-	weights = pickWeights(weights, orig, m)
-	return metric.Compute(metric.Kind(m), weights, eo, ea, so.Patterns()), nil
+	return metric.Compute(m, pickWeights(weights, orig, m), eo, ea, se.Patterns()), nil
 }
 
 func pickWeights(weights []float64, orig *Circuit, m Metric) []float64 {
 	if weights == nil {
 		weights = orig.weights
 	}
-	if weights == nil && metric.Kind(m).Numeric() {
+	if weights == nil && m.Numeric() {
 		weights = metric.UnsignedWeights(orig.NumOutputs())
 	}
 	return weights
-}
-
-// MeasureError computes the error of approx against orig from scratch by
-// simulating both circuits on the same patterns — an independent check of
-// a synthesis result. The circuits must have identical PI/PO interfaces.
-func MeasureError(orig, approx *Circuit, m Metric, weights []float64, patterns int, seed int64) (float64, error) {
-	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
-		return 0, fmt.Errorf("dpals: interface mismatch (%d/%d inputs, %d/%d outputs)",
-			orig.NumInputs(), approx.NumInputs(), orig.NumOutputs(), approx.NumOutputs())
-	}
-	if patterns <= 0 {
-		patterns = 8192
-	}
-	so := sim.New(orig.snap(), sim.Options{Patterns: patterns, Seed: seed})
-	sa := sim.New(approx.snap(), sim.Options{Patterns: patterns, Seed: seed})
-	eo := make([]bitvec.Vec, orig.NumOutputs())
-	ea := make([]bitvec.Vec, orig.NumOutputs())
-	for o := range eo {
-		eo[o] = bitvec.NewWords(so.Words())
-		so.POVal(o, eo[o])
-		ea[o] = bitvec.NewWords(sa.Words())
-		sa.POVal(o, ea[o])
-	}
-	if weights == nil {
-		weights = orig.weights
-	}
-	if weights == nil && metric.Kind(m).Numeric() {
-		weights = metric.UnsignedWeights(orig.NumOutputs())
-	}
-	return metric.Compute(metric.Kind(m), weights, eo, ea, so.Patterns()), nil
 }
 
 // ReferenceError returns the paper's reference error R = 2^(K/3) for a
@@ -825,33 +524,4 @@ func CertifyWorstCaseError(orig, approx *Circuit, t uint64) (bool, []bool, error
 // from orig by binary search over SAT certifications (≤ 62 outputs).
 func WorstCaseError(orig, approx *Circuit) (uint64, error) {
 	return equiv.WorstCaseError(orig.g, approx.g)
-}
-
-// MeasureErrorExact computes the exact error of approx against orig by
-// enumerating every input combination (≤ 24 inputs).
-func MeasureErrorExact(orig, approx *Circuit, m Metric, weights []float64) (float64, error) {
-	if orig.NumInputs() > 24 {
-		return 0, fmt.Errorf("dpals: exhaustive measurement infeasible for %d inputs (max 24)", orig.NumInputs())
-	}
-	if orig.NumInputs() != approx.NumInputs() || orig.NumOutputs() != approx.NumOutputs() {
-		return 0, fmt.Errorf("dpals: interface mismatch")
-	}
-	patterns := 1 << orig.NumInputs()
-	so := sim.New(orig.snap(), sim.Options{Patterns: patterns, Dist: sim.Exhaustive{}})
-	sa := sim.New(approx.snap(), sim.Options{Patterns: patterns, Dist: sim.Exhaustive{}})
-	eo := make([]bitvec.Vec, orig.NumOutputs())
-	ea := make([]bitvec.Vec, orig.NumOutputs())
-	for o := range eo {
-		eo[o] = bitvec.NewWords(so.Words())
-		so.POVal(o, eo[o])
-		ea[o] = bitvec.NewWords(sa.Words())
-		sa.POVal(o, ea[o])
-	}
-	if weights == nil {
-		weights = orig.weights
-	}
-	if weights == nil && metric.Kind(m).Numeric() {
-		weights = metric.UnsignedWeights(orig.NumOutputs())
-	}
-	return metric.Compute(metric.Kind(m), weights, eo, ea, patterns), nil
 }

@@ -124,6 +124,17 @@ func TestMeasureErrorInterfaceMismatch(t *testing.T) {
 	if _, err := MeasureError(a, b, ER, nil, 64, 1); err == nil {
 		t.Error("interface mismatch accepted")
 	}
+	// Every measurement path reports which interface differs and how.
+	const want = "dpals: interface mismatch (8/10 inputs, 5/6 outputs)"
+	for name, run := range map[string]func() (float64, error){
+		"MeasureError":       func() (float64, error) { return MeasureError(a, b, ER, nil, 64, 1) },
+		"MeasureErrorBiased": func() (float64, error) { return MeasureErrorBiased(a, b, ER, nil, 64, 1, []float64{0.3}) },
+		"MeasureErrorExact":  func() (float64, error) { return MeasureErrorExact(a, b, ER, nil) },
+	} {
+		if _, err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
 }
 
 func TestCircuitAccessors(t *testing.T) {

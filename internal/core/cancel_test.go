@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // waves to interrupt, small enough for CI.
 func bigOpts(numPOs int) Options {
 	R := metric.ReferenceError(numPOs)
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 1024
 	opt.Seed = 7
 	return opt
@@ -37,7 +38,8 @@ func TestCancelMidSynthesisReturnsBestSoFar(t *testing.T) {
 	var cancelledAt time.Time
 	start := time.Now()
 	var firstIter time.Duration
-	opt.OnIteration = func(iter int, _ lac.NodeBest, _ []lac.NodeBest) {
+	var hooks Hooks
+	hooks.OnIteration = func(iter int, _ lac.NodeBest, _ []lac.NodeBest) {
 		if iter == 1 {
 			firstIter = time.Since(start)
 		}
@@ -46,7 +48,7 @@ func TestCancelMidSynthesisReturnsBestSoFar(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, g, opt)
+	res, err := RunContext(ctx, g, opt, hooks)
 	latency := time.Since(cancelledAt)
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -92,9 +94,9 @@ func TestCancelBeforeStart(t *testing.T) {
 	g := gen.MultU(6, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := DefaultOptions(FlowDPSA, metric.MSE, 100)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: 100}
 	opt.Patterns = 512
-	res, err := RunContext(ctx, g, opt)
+	res, err := RunContext(ctx, g, opt, Hooks{})
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}
@@ -121,7 +123,7 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 		opt.Flow = flow
 		opt.TimeLimit = 50 * time.Millisecond
 		start := time.Now()
-		res, err := RunContext(context.Background(), g, opt)
+		res, err := RunContext(context.Background(), g, opt, Hooks{})
 		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatalf("%v: %v", flow, err)
@@ -149,7 +151,7 @@ func TestTimeLimitStopsEveryFlow(t *testing.T) {
 func TestStopReasonBudgetAndMaxIters(t *testing.T) {
 	g := gen.MultU(5, 5)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 512
 	res, err := Run(g, opt)
 	if err != nil {
@@ -178,16 +180,17 @@ func TestRunContextUncancelledBitIdentical(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
 	for _, threads := range []int{1, 4, 0} {
-		opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+		opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 		opt.Patterns = 1024
 		opt.Seed = 7
 		opt.Threads = threads
-		opt.LACs = lac.Options{Constants: true, SASIMI: true}
+		opt.UseConstLACs = true
+		opt.UseSASIMILACs = true
 		plain, err := Run(g, opt)
 		if err != nil {
 			t.Fatalf("Run(threads=%d): %v", threads, err)
 		}
-		ctxed, err := RunContext(context.Background(), g, opt)
+		ctxed, err := RunContext(context.Background(), g, opt, Hooks{})
 		if err != nil {
 			t.Fatalf("RunContext(threads=%d): %v", threads, err)
 		}
@@ -195,14 +198,14 @@ func TestRunContextUncancelledBitIdentical(t *testing.T) {
 			t.Errorf("threads=%d: Error %v vs %v", threads, plain.Error, ctxed.Error)
 		}
 		if plain.Stats.Applied != ctxed.Stats.Applied ||
-			plain.Stats.Phase1 != ctxed.Stats.Phase1 ||
-			plain.Stats.Phase2 != ctxed.Stats.Phase2 {
+			plain.Stats.Comprehensive != ctxed.Stats.Comprehensive ||
+			plain.Stats.Incremental != ctxed.Stats.Incremental {
 			t.Errorf("threads=%d: trajectory differs: %d/%d/%d vs %d/%d/%d", threads,
-				plain.Stats.Applied, plain.Stats.Phase1, plain.Stats.Phase2,
-				ctxed.Stats.Applied, ctxed.Stats.Phase1, ctxed.Stats.Phase2)
+				plain.Stats.Applied, plain.Stats.Comprehensive, plain.Stats.Incremental,
+				ctxed.Stats.Applied, ctxed.Stats.Comprehensive, ctxed.Stats.Incremental)
 		}
-		if plain.Stats.Work != ctxed.Stats.Work {
-			t.Errorf("threads=%d: StepWork differs: %+v vs %+v", threads, plain.Stats.Work, ctxed.Stats.Work)
+		if ps, cs := normalizeStats(plain.Stats), normalizeStats(ctxed.Stats); !reflect.DeepEqual(ps, cs) {
+			t.Errorf("threads=%d: Stats differ: %+v vs %+v", threads, ps, cs)
 		}
 		if plain.Graph.NumAnds() != ctxed.Graph.NumAnds() {
 			t.Errorf("threads=%d: NumAnds %d vs %d", threads, plain.Graph.NumAnds(), ctxed.Graph.NumAnds())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func measure(t *testing.T, orig, approx *aig.Graph, kind metric.Kind, weights me
 
 func runFlow(t *testing.T, g *aig.Graph, flow Flow, kind metric.Kind, thr float64, tweak func(*Options)) *Result {
 	t.Helper()
-	opt := DefaultOptions(flow, kind, thr)
+	opt := Options{Flow: flow, Metric: kind, Threshold: thr}
 	opt.Patterns = 1024
 	opt.Seed = 11
 	if tweak != nil {
@@ -89,7 +90,9 @@ func TestAllFlowsRespectBoundER(t *testing.T) {
 	g := gen.MultU(6, 6)
 	for _, flow := range []Flow{FlowConventional, FlowDP, FlowDPSA, FlowAccALS} {
 		res := runFlow(t, g, flow, metric.ER, 0.05, func(o *Options) {
-			o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
+			o.UseConstLACs = true
+			o.UseSASIMILACs = true
+			o.MaxLACsPerNode = 4
 		})
 		if res.Stats.Applied == 0 {
 			t.Errorf("%v: applied no LACs under 5%% ER with SASIMI", flow)
@@ -105,7 +108,9 @@ func TestAllFlowsRespectBoundMED(t *testing.T) {
 	for _, flow := range []Flow{FlowConventional, FlowDP, FlowDPSA} {
 		res := runFlow(t, g, flow, metric.MED, R, func(o *Options) {
 			o.Weights = w
-			o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
+			o.UseConstLACs = true
+			o.UseSASIMILACs = true
+			o.MaxLACsPerNode = 4
 		})
 		t.Logf("%-12v applied=%3d err=%.4g (R=%.4g)", flow, res.Stats.Applied, res.Error, R)
 	}
@@ -131,16 +136,16 @@ func TestDPQualityMatchesConventional(t *testing.T) {
 	}
 	ratio := float64(dp.Graph.NumAnds()) / float64(conv.Graph.NumAnds())
 	t.Logf("conventional: %d ands (%d LACs); DP: %d ands (%d LACs, %d phase-2); ratio %.3f",
-		conv.Graph.NumAnds(), conv.Stats.Applied, dp.Graph.NumAnds(), dp.Stats.Applied, dp.Stats.Phase2, ratio)
+		conv.Graph.NumAnds(), conv.Stats.Applied, dp.Graph.NumAnds(), dp.Stats.Applied, dp.Stats.Incremental, ratio)
 	if ratio > 1.10 {
 		t.Errorf("DP quality degraded: %.3f× conventional size", ratio)
 	}
-	if dp.Stats.Phase2 == 0 {
+	if dp.Stats.Incremental == 0 {
 		t.Error("DP applied no phase-2 LACs — incremental path untested")
 	}
 	// The acceleration claim: DP must do far fewer comprehensive passes.
-	if dp.Stats.Phase1 >= conv.Stats.Phase1 {
-		t.Errorf("DP ran %d comprehensive passes, conventional %d", dp.Stats.Phase1, conv.Stats.Phase1)
+	if dp.Stats.Comprehensive >= conv.Stats.Comprehensive {
+		t.Errorf("DP ran %d comprehensive passes, conventional %d", dp.Stats.Comprehensive, conv.Stats.Comprehensive)
 	}
 }
 
@@ -148,7 +153,9 @@ func TestDPSASelfAdaption(t *testing.T) {
 	g := gen.MultU(7, 7)
 	R := metric.ReferenceError(g.NumPOs())
 	res := runFlow(t, g, FlowDPSA, metric.MSE, R*R, func(o *Options) {
-		o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 8}
+		o.UseConstLACs = true
+		o.UseSASIMILACs = true
+		o.MaxLACsPerNode = 8
 	})
 	if len(res.Stats.MTrace) == 0 {
 		t.Error("DP-SA recorded no self-adaption trace")
@@ -159,9 +166,9 @@ func TestDPSASelfAdaption(t *testing.T) {
 func TestOnIterationCallback(t *testing.T) {
 	g := gen.Adder(10)
 	var iters []int
-	opt := DefaultOptions(FlowConventional, metric.ER, 0.05)
+	opt := Options{Flow: FlowConventional, Metric: metric.ER, Threshold: 0.05}
 	opt.Patterns = 512
-	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		iters = append(iters, iter)
 		if len(bests) == 0 {
 			t.Error("callback with empty bests")
@@ -170,7 +177,7 @@ func TestOnIterationCallback(t *testing.T) {
 			t.Errorf("callback chosen err %v exceeds bound", chosen.Best.Err)
 		}
 	}
-	res, err := Run(g, opt)
+	res, err := RunContext(context.Background(), g, opt, Hooks{OnIteration: onIter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +211,15 @@ func TestMaxItersCap(t *testing.T) {
 
 func TestErrorsOnBadOptions(t *testing.T) {
 	g := gen.Adder(4)
-	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: -1, LACs: lac.Options{Constants: true}}); err == nil {
+	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: -1}); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}); err == nil {
-		t.Error("no LAC kinds accepted")
+	if _, err := Run(g, Options{Flow: FlowDP, Metric: metric.MSE, Threshold: 0.1, Weights: metric.Weights{1}}); err == nil {
+		t.Error("weights of the wrong length accepted")
 	}
 	empty := aig.New("empty")
 	empty.AddPO(empty.AddPI("a"), "o")
-	if _, err := Run(empty, DefaultOptions(FlowDP, metric.ER, 0.1)); err == nil {
+	if _, err := Run(empty, Options{Flow: FlowDP, Metric: metric.ER, Threshold: 0.1}); err == nil {
 		t.Error("AND-free circuit accepted")
 	}
 }
@@ -224,7 +231,9 @@ func TestSASIMISignedMultiplierMED(t *testing.T) {
 	R := metric.ReferenceError(g.NumPOs())
 	res := runFlow(t, g, FlowDPSA, metric.MED, 2*R, func(o *Options) {
 		o.Weights = w
-		o.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 6}
+		o.UseConstLACs = true
+		o.UseSASIMILACs = true
+		o.MaxLACsPerNode = 6
 	})
 	before := g.Sweep().NumAnds()
 	t.Logf("sm6x5 MED≤%.3g: %d→%d ands (%.1f%%), %d LACs", 2*R, before, res.Graph.NumAnds(),

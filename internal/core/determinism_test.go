@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
@@ -21,26 +22,28 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 		name  string
 		flow  Flow
 		tweak func(*Options)
+		hooks Hooks
 	}{
-		{"Conventional", FlowConventional, nil},
-		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }},
-		{"AccALS", FlowAccALS, func(o *Options) { o.AccTol = 0.5 }},
-		{"DP", FlowDP, nil},
-		{"DP-SA", FlowDPSA, nil},
+		{"Conventional", FlowConventional, nil, Hooks{}},
+		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }, Hooks{}},
+		{"AccALS", FlowAccALS, nil, Hooks{AccTol: 0.5}},
+		{"DP", FlowDP, nil, Hooks{}},
+		{"DP-SA", FlowDPSA, nil, Hooks{}},
 	}
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(threads int) *Result {
-				opt := DefaultOptions(tc.flow, metric.MSE, R*R)
+				opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
 				opt.Patterns = 1024
 				opt.Seed = 7
 				opt.Threads = threads
 				opt.MaxIters = 25
-				opt.LACs = lac.Options{Constants: true, SASIMI: true}
+				opt.UseConstLACs = true
+				opt.UseSASIMILACs = true
 				if tc.tweak != nil {
 					tc.tweak(&opt)
 				}
-				res, err := Run(g, opt)
+				res, err := RunContext(context.Background(), g, opt, tc.hooks)
 				if err != nil {
 					t.Fatalf("Run(threads=%d): %v", threads, err)
 				}
@@ -55,17 +58,17 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 				t.Errorf("Applied: serial %d, parallel %d", serial.Stats.Applied, parallel.Stats.Applied)
 			}
 			// DP-SA's §III-D parameter tuning profiles the steps with
-			// the deterministic StepWork estimate (not wall-clock), so
+			// the deterministic work estimate (not wall-clock), so
 			// even its phase partition and work counters must agree.
-			if serial.Stats.Phase1 != parallel.Stats.Phase1 || serial.Stats.Phase2 != parallel.Stats.Phase2 {
+			if serial.Stats.Comprehensive != parallel.Stats.Comprehensive || serial.Stats.Incremental != parallel.Stats.Incremental {
 				t.Errorf("analyses: serial %d+%d, parallel %d+%d",
-					serial.Stats.Phase1, serial.Stats.Phase2, parallel.Stats.Phase1, parallel.Stats.Phase2)
+					serial.Stats.Comprehensive, serial.Stats.Incremental, parallel.Stats.Comprehensive, parallel.Stats.Incremental)
 			}
 			if serial.Stats.Rollbacks != parallel.Stats.Rollbacks {
 				t.Errorf("Rollbacks: serial %d, parallel %d", serial.Stats.Rollbacks, parallel.Stats.Rollbacks)
 			}
-			if serial.Stats.Work != parallel.Stats.Work {
-				t.Errorf("StepWork: serial %+v, parallel %+v", serial.Stats.Work, parallel.Stats.Work)
+			if sn, pn := normalizeStats(serial.Stats), normalizeStats(parallel.Stats); !reflect.DeepEqual(sn, pn) {
+				t.Errorf("Stats: serial %+v, parallel %+v", sn, pn)
 			}
 			if sn, pn := serial.Graph.NumAnds(), parallel.Graph.NumAnds(); sn != pn {
 				t.Errorf("NumAnds: serial %d, parallel %d", sn, pn)

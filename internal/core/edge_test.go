@@ -5,7 +5,6 @@ import (
 
 	"dpals/internal/aig"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 )
 
@@ -13,9 +12,11 @@ import (
 func TestDeterminism(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 1024
-	opt.LACs = lac.Options{Constants: true, SASIMI: true, MaxPerNode: 4}
+	opt.UseConstLACs = true
+	opt.UseSASIMILACs = true
+	opt.MaxLACsPerNode = 4
 	r1, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func TestSeedsIndependentlyBounded(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
 	for seed := int64(1); seed <= 3; seed++ {
-		opt := DefaultOptions(FlowDP, metric.MED, R)
+		opt := Options{Flow: FlowDP, Metric: metric.MED, Threshold: R}
 		opt.Patterns = 512
 		opt.Seed = seed
 		res, err := Run(g, opt)
@@ -55,9 +56,10 @@ func TestSeedsIndependentlyBounded(t *testing.T) {
 func TestSASIMIOnly(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 512
-	opt.LACs = lac.Options{SASIMI: true, MaxPerNode: 6}
+	opt.UseSASIMILACs = true
+	opt.MaxLACsPerNode = 6
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +80,7 @@ func TestConstantOutputCircuit(t *testing.T) {
 	g.AddPO(x, "y")
 	g.AddPO(aig.False, "zero")
 	g.AddPO(aig.True, "one")
-	opt := DefaultOptions(FlowConventional, metric.ER, 1.0) // everything allowed
+	opt := Options{Flow: FlowConventional, Metric: metric.ER, Threshold: 1.0} // everything allowed
 	opt.Patterns = 256
 	res, err := Run(g, opt)
 	if err != nil {
@@ -103,7 +105,7 @@ func TestSingleChainCollapse(t *testing.T) {
 		x = g.And(x, a)
 	}
 	g.AddPO(x, "y")
-	opt := DefaultOptions(FlowDP, metric.ER, 1.0)
+	opt := Options{Flow: FlowDP, Metric: metric.ER, Threshold: 1.0}
 	opt.Patterns = 128
 	res, err := Run(g, opt)
 	if err != nil {
@@ -119,7 +121,7 @@ func TestSingleChainCollapse(t *testing.T) {
 func TestTightThresholdNoOvershoot(t *testing.T) {
 	g := gen.Adder(8)
 	for _, thr := range []float64{1e-6, 1e-3, 0.005} {
-		opt := DefaultOptions(FlowDPSA, metric.ER, thr)
+		opt := Options{Flow: FlowDPSA, Metric: metric.ER, Threshold: thr}
 		opt.Patterns = 2048
 		res, err := Run(g, opt)
 		if err != nil {

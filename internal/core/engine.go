@@ -29,77 +29,44 @@ type Result struct {
 // Run synthesises an approximate version of g under opt and returns the
 // result. g itself is never modified.
 func Run(g *aig.Graph, opt Options) (*Result, error) {
-	return RunContext(context.Background(), g, opt)
+	return RunContext(context.Background(), g, opt, Hooks{})
 }
 
-// RunContext is Run with cooperative cancellation and an optional
-// deadline: when ctx is cancelled (or opt.TimeLimit expires) the run stops
-// at the next checkpoint — an iteration boundary of the flow, or a wave
-// boundary inside a running analysis — and returns the valid best-so-far
-// result instead of an error. The returned circuit is swept, its Error is
-// the genuine sampled error of that circuit, and it never exceeds the
-// budget; Stats.StopReason tells whether the run completed (budget,
-// max-iters) or was stopped (cancelled, deadline). An uncancelled run is
-// bit-identical to Run for every thread count. Errors are returned only
-// for invalid configurations, never for cancellation.
-func RunContext(ctx context.Context, g *aig.Graph, opt Options) (*Result, error) {
+// RunContext is Run with cooperative cancellation, an optional deadline
+// and the internal test hooks (the zero Hooks is a production run): when
+// ctx is cancelled (or opt.TimeLimit expires) the run stops at the next
+// checkpoint — an iteration boundary of the flow, or a wave boundary
+// inside a running analysis — and returns the valid best-so-far result
+// instead of an error. The returned circuit is swept, its Error is the
+// genuine sampled error of that circuit, and it never exceeds the budget;
+// Stats.StopReason tells whether the run completed (budget, max-iters) or
+// was stopped (cancelled, deadline). An uncancelled run is bit-identical to
+// Run for every thread count. Errors are returned only for invalid
+// configurations, never for cancellation.
+func RunContext(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	opt = opt.Resolved()
+	if err := opt.Validate(g.NumPIs(), g.NumPOs()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if opt.TimeLimit > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.TimeLimit)
 		defer cancel()
 	}
-	if opt.Threshold < 0 {
-		return nil, errors.New("core: negative error threshold")
-	}
-	if !opt.LACs.Constants && !opt.LACs.SASIMI {
-		return nil, errors.New("core: no LAC kind enabled")
-	}
 	if opt.Metric == metric.WCE {
-		// The certification miter reads the outputs as one unsigned
-		// LSB-first number; arbitrary weights have no SAT counterpart here.
-		if opt.Weights != nil {
-			return nil, errors.New("core: WCE uses the unsigned LSB-first output interpretation; Weights must be nil")
-		}
-		if g.NumPOs() > 62 {
-			return nil, fmt.Errorf("core: WCE flow limited to 62 outputs, circuit has %d", g.NumPOs())
-		}
 		// The sampled metric and the candidate pruning share the budget
 		// machinery of every other flow: the threshold is the bound.
 		opt.Threshold = float64(opt.WCEBound)
-		if opt.CertEvery <= 0 {
-			opt.CertEvery = 8
-		}
-	} else if opt.WCEBound != 0 {
-		return nil, errors.New("core: WCEBound requires Metric == metric.WCE")
-	}
-	if opt.Patterns <= 0 {
-		opt.Patterns = 8192
-	}
-	// Self-adaption parameters (§III-D): the zero value silently degenerates
-	// DP-SA (Br=Bs=Et=0 makes every phase-2 check "strict" and stops it on
-	// the first error increase; RInc=0 freezes M). Normalise to the paper
-	// defaults, exactly like Patterns above.
-	if opt.RInc <= 0 {
-		opt.RInc = 0.25
-	}
-	if opt.Br <= 0 {
-		opt.Br = 0.025
-	}
-	if opt.Bs <= 0 {
-		opt.Bs = 0.25
-	}
-	if opt.Et <= 0 {
-		opt.Et = 0.5
 	}
 	// The observability layer rides on the context: a recording tracer,
 	// metrics registry, or progress renderer installed by the caller is
 	// picked up here; otherwise the shared no-op tracer provides the span
-	// timestamps Stats.Step/PhaseTime are derived from. Either way the
-	// code path is the same and tracing never writes engine state, so a
-	// traced run is bit-identical to an untraced one.
+	// timestamps the Stats step and phase times are derived from. Either
+	// way the code path is the same and tracing never writes engine state,
+	// so a traced run is bit-identical to an untraced one.
 	tr := obs.FromContext(ctx)
 	run := tr.Start("run")
 	run.SetStr("flow", opt.Flow.String())
@@ -108,7 +75,7 @@ func RunContext(ctx context.Context, g *aig.Graph, opt Options) (*Result, error)
 	run.SetInt("patterns", int64(opt.Patterns))
 	run.SetInt("threads", int64(opt.Threads))
 	init := run.Child("init")
-	e, err := newEngine(g, opt)
+	e, err := newEngine(g, opt, hooks)
 	if err != nil {
 		init.End()
 		run.End()
@@ -150,7 +117,7 @@ func RunContext(ctx context.Context, g *aig.Graph, opt Options) (*Result, error)
 	out := e.g.Sweep()
 	sw.End()
 	finalErr := e.st.Error()
-	if opt.Fault.Fire(fault.MisreportError) {
+	if hooks.Fault.Fire(fault.MisreportError) {
 		// Seeded reporting bug: the circuit is faithful but the reported
 		// error is not — the oracle's recompute-on-the-returned-circuit
 		// cross-check must catch exactly this.
@@ -176,6 +143,7 @@ func RunContext(ctx context.Context, g *aig.Graph, opt Options) (*Result, error)
 // engine holds the mutable synthesis state shared by all flows.
 type engine struct {
 	opt   Options
+	hooks Hooks
 	ctx   context.Context // run-scoped; checked at iteration and wave boundaries
 	g     *aig.Graph
 	s     *sim.Sim
@@ -205,9 +173,10 @@ type engine struct {
 
 	// Observability (see internal/obs). root is the run-level span — never
 	// nil, since the no-op tracer still hands out timestamp-only spans the
-	// Step/PhaseTime stats are derived from. cur is the span new apply
-	// spans nest under; flows point it at their current phase. metrics and
-	// prog are nil unless the caller installed them in the context.
+	// Stats step and phase times are derived from. cur is the span new
+	// apply spans nest under; flows point it at their current phase.
+	// metrics and prog are nil unless the caller installed them in the
+	// context.
 	root     *obs.Span
 	cur      *obs.Span
 	metrics  *obs.Metrics
@@ -235,13 +204,13 @@ func (e *engine) sampleMetrics() {
 	m.Gauge("error").Set(e.st.Error())
 	m.Gauge("ands").Set(float64(e.g.NumAnds()))
 	m.Gauge("applied").Set(float64(e.stats.Applied))
-	m.Gauge("phase1_analyses").Set(float64(e.stats.Phase1))
-	m.Gauge("phase1_warm").Set(float64(e.stats.Phase1Warm))
-	m.Gauge("phase1_reuse_rate").Set(e.stats.Work.Phase1ReuseRate())
-	m.Gauge("phase2_iters").Set(float64(e.stats.Phase2))
-	m.Gauge("cpm_rows_reused").Set(float64(e.stats.Work.CPMRowsReused))
-	m.Gauge("cpm_rows_recomputed").Set(float64(e.stats.Work.CPMRowsRecomputed))
-	m.Gauge("eval_memo_hits").Set(float64(e.stats.Work.EvalMemoHits))
+	m.Gauge("phase1_analyses").Set(float64(e.stats.Comprehensive))
+	m.Gauge("phase1_warm").Set(float64(e.stats.WarmComprehensive))
+	m.Gauge("phase1_reuse_rate").Set(e.stats.Phase1ReuseRate())
+	m.Gauge("phase2_iters").Set(float64(e.stats.Incremental))
+	m.Gauge("cpm_rows_reused").Set(float64(e.stats.CPMRowsReused))
+	m.Gauge("cpm_rows_recomputed").Set(float64(e.stats.CPMRowsRecomputed))
+	m.Gauge("eval_memo_hits").Set(float64(e.stats.EvalMemoHits))
 	if e.cache != nil {
 		ps := e.cache.Pool().Stats()
 		m.Gauge("pool_gets").Set(float64(ps.Gets))
@@ -264,40 +233,33 @@ func (e *engine) observe() {
 }
 
 // SimOptions builds the simulator configuration a run of g under opt uses
-// to draw its Monte-Carlo (or exhaustive) patterns. Exported so the
-// verification oracle (internal/oracle) can recompute the sampled error of
-// a returned circuit on exactly the patterns the run trained on.
-func SimOptions(g *aig.Graph, opt Options) (sim.Options, error) {
+// to draw its Monte-Carlo (or exhaustive) patterns; opt must be valid for
+// g (see Options.Validate). Exported so the verification oracle
+// (internal/oracle) can recompute the sampled error of a returned circuit
+// on exactly the patterns the run trained on.
+func SimOptions(g *aig.Graph, opt Options) sim.Options {
+	opt = opt.Resolved()
 	so := sim.Options{Patterns: opt.Patterns, Seed: opt.Seed, Threads: opt.Threads}
 	if opt.Exhaustive {
-		if g.NumPIs() > 24 {
-			return so, fmt.Errorf("core: exhaustive simulation infeasible for %d inputs (max 24)", g.NumPIs())
-		}
 		so.Patterns = 1 << g.NumPIs()
 		so.Dist = sim.Exhaustive{}
-		return so, nil
-	}
-	if len(opt.InputProbabilities) > 0 {
-		for _, p := range opt.InputProbabilities {
-			if p < 0 || p > 1 {
-				return so, fmt.Errorf("core: input probability %v out of [0,1]", p)
-			}
-		}
+	} else if len(opt.InputProbabilities) > 0 {
 		so.Dist = sim.Biased{P: opt.InputProbabilities}
 	}
-	return so, nil
+	return so
 }
 
-func newEngine(orig *aig.Graph, opt Options) (*engine, error) {
+// lacOptions is the candidate-generator configuration of a run.
+func (o Options) lacOptions() lac.Options {
+	return lac.Options{Constants: o.UseConstLACs, SASIMI: o.UseSASIMILACs, MaxPerNode: o.MaxLACsPerNode}
+}
+
+func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 	g := orig.Sweep() // private, compact working copy
 	if g.NumAnds() == 0 {
 		return nil, errors.New("core: circuit has no AND nodes to approximate")
 	}
-	simOpt, err := SimOptions(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New(g, simOpt)
+	s := sim.New(g, SimOptions(g, opt))
 	exact := make([]bitvec.Vec, g.NumPOs())
 	for o := range exact {
 		exact[o] = bitvec.NewWords(s.Words())
@@ -310,11 +272,12 @@ func newEngine(orig *aig.Graph, opt Options) (*engine, error) {
 	st := metric.NewState(opt.Metric, exact, weights, s.Patterns())
 	e := &engine{
 		opt:       opt,
+		hooks:     hooks,
 		g:         g,
 		s:         s,
 		st:        st,
 		exact:     exact,
-		gen:       lac.NewGenerator(g, s, opt.LACs),
+		gen:       lac.NewGenerator(g, s, opt.lacOptions()),
 		poScratch: bitvec.NewWords(s.Words()),
 	}
 	e.stats.NodesBefore = g.NumAnds()
@@ -345,7 +308,7 @@ func (e *engine) liveTargets() []int32 {
 
 // fire consults the run's fault plan (nil in every production run) at one
 // injection opportunity; see internal/fault.
-func (e *engine) fire(k fault.Kind) bool { return e.opt.Fault.Fire(k) }
+func (e *engine) fire(k fault.Kind) bool { return e.hooks.Fault.Fire(k) }
 
 // apply commits a LAC: rewires the graph, incrementally resimulates, folds
 // the PO changes into the metric state, repairs the cuts and the SASIMI
@@ -389,8 +352,8 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 			e.stats.CutUpdates++
 		}
 		cu.End()
-		e.stats.Step.Cuts += cu.Duration()
-		e.stats.Work.Cuts += e.cuts.Work() - w0
+		e.stats.CutTime += cu.Duration()
+		e.stats.CutWork += e.cuts.Work() - w0
 		if e.cache != nil && !e.fire(fault.SkipCPMInvalidate) {
 			e.cache.Invalidate(cs, changed, sv)
 		}
@@ -475,8 +438,7 @@ func (e *engine) restore(sn snapshot) {
 	sp := e.cur.Child("rollback")
 	defer sp.End()
 	e.g = sn.g
-	simOpt, _ := SimOptions(e.g, e.opt) // validated at construction
-	e.s = sim.New(e.g, simOpt)
+	e.s = sim.New(e.g, SimOptions(e.g, e.opt))
 	weights := e.opt.Weights
 	if weights == nil && e.opt.Metric.Numeric() {
 		weights = metric.UnsignedWeights(e.g.NumPOs())
@@ -491,7 +453,7 @@ func (e *engine) restore(sn snapshot) {
 	if e.memo != nil {
 		e.memo.Invalidate() // evaluations reference the replaced state
 	}
-	e.gen = lac.NewGenerator(e.g, e.s, e.opt.LACs)
+	e.gen = lac.NewGenerator(e.g, e.s, e.opt.lacOptions())
 	if e.cert != nil {
 		keep := e.pending[:0]
 		for _, p := range e.pending {
@@ -652,5 +614,5 @@ func (e *engine) finalizeWCE() {
 // rollback (cuts dropped), or a cancelled build (set never marked synced)
 // all fall back to the cold rebuild.
 func (e *engine) warmStart() bool {
-	return e.incCuts && !e.opt.NoWarmStart && e.cuts != nil && e.cuts.InSync()
+	return e.incCuts && !e.hooks.NoWarmStart && e.cuts != nil && e.cuts.InSync()
 }

@@ -13,9 +13,9 @@ import (
 
 // useCache reports whether the persistent incremental CPM cache is active:
 // dual-phase flows only (the other flows have no phase-2 rows to reuse),
-// unless disabled for A/B comparison.
+// unless the differential-reference hook disables it.
 func (e *engine) useCache() bool {
-	return (e.opt.Flow == FlowDP || e.opt.Flow == FlowDPSA) && !e.opt.NoCPMCache
+	return (e.opt.Flow == FlowDP || e.opt.Flow == FlowDPSA) && !e.hooks.NoCPMCache
 }
 
 // comprehensive performs the full error analysis of Fig. 3(b): disjoint
@@ -31,7 +31,7 @@ func (e *engine) useCache() bool {
 // accumulated changes invalidated, and the evaluation memo serves targets
 // whose state did not change since their last evaluation. Every reuse is
 // bit-identical to the cold computation; when the repair chain was broken
-// (first round, rollback, cancelled build, Options.NoWarmStart) the pass
+// (first round, rollback, cancelled build, Hooks.NoWarmStart) the pass
 // falls back to the cold rebuild below.
 //
 // Cancellation makes every step return early at a wave boundary; the
@@ -43,9 +43,9 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	warm := e.warmStart()
 	defer func() {
 		p1.End()
-		e.stats.PhaseTime.Phase1 += p1.Duration()
+		e.stats.Phase1Time += p1.Duration()
 		if warm {
-			e.stats.PhaseTime.Phase1Warm += p1.Duration()
+			e.stats.Phase1WarmTime += p1.Duration()
 		}
 	}()
 	if warm {
@@ -56,17 +56,17 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		charged := e.cuts.FullBuildWork()
 		sp.SetInt("charged_work", charged)
 		sp.End()
-		e.stats.Step.Cuts += sp.Duration()
-		e.stats.Work.Cuts += charged
-		e.stats.Work.CutsSkipped += charged
-		e.stats.Phase1Warm++
+		e.stats.CutTime += sp.Duration()
+		e.stats.CutWork += charged
+		e.stats.SkippedWork += charged
+		e.stats.WarmComprehensive++
 	} else {
 		sp, ctx := e.step(p1, "cuts")
 		cuts, err := cut.NewSetCtx(ctx, e.g, e.opt.Threads)
 		sp.SetInt("work", cuts.Work())
 		sp.End()
-		e.stats.Step.Cuts += sp.Duration()
-		e.stats.Work.Cuts += cuts.Work()
+		e.stats.CutTime += sp.Duration()
+		e.stats.CutWork += cuts.Work()
 		if err != nil {
 			// Cancelled mid-build: the set is incomplete and must not be
 			// stored — a later warm start or phase-2 closure would trust
@@ -93,33 +93,33 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 			if upd.Needed > 0 {
 				sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
 			}
-			e.stats.Work.CPMSkipped += upd.ReusedWork
-			e.stats.Work.CPMRowsReused += int64(upd.Reused)
-			e.stats.Work.CPMRowsReusedPhase1 += int64(upd.Reused)
+			e.stats.SkippedWork += upd.ReusedWork
+			e.stats.CPMRowsReused += int64(upd.Reused)
+			e.stats.Phase1RowsReused += int64(upd.Reused)
 		} else {
 			sp, ctx = e.step(p1, "cpm")
 			upd, err = e.cache.RebuildCtx(ctx, e.cuts, e.opt.Threads)
 		}
 		res = upd.Res
 		// Work + ReusedWork == the cold build's deterministic estimate.
-		e.stats.Work.CPM += upd.Work + upd.ReusedWork
-		e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
-		e.stats.Work.CPMRowsRecomputedPhase1 += int64(upd.Recomputed)
+		e.stats.CPMWork += upd.Work + upd.ReusedWork
+		e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
+		e.stats.Phase1RowsRecomputed += int64(upd.Recomputed)
 		sp.SetInt("rows_recomputed", int64(upd.Recomputed))
 		sp.SetInt("work", upd.Work)
 	} else {
 		sp, ctx = e.step(p1, "cpm")
 		res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, nil, e.opt.Threads)
-		e.stats.Work.CPM += res.Work
+		e.stats.CPMWork += res.Work
 		sp.SetInt("work", res.Work)
 	}
 	sp.End()
-	e.stats.Step.CPM += sp.Duration()
+	e.stats.CPMTime += sp.Duration()
 	if err != nil {
 		return nil
 	}
 	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.opt.Fault.Opportunities())
+		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
 	sp, ctx = e.step(p1, "eval")
 	bests, ew, rw, hits, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
@@ -128,14 +128,14 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	sp.SetInt("work", ew)
 	sp.SetInt("memo_hits", int64(hits))
 	sp.End()
-	e.stats.Step.Eval += sp.Duration()
-	e.stats.Work.Eval += ew // includes rw: charged cold-equivalent
-	e.stats.Work.EvalSkipped += rw
-	e.stats.Work.EvalMemoHits += int64(hits)
+	e.stats.EvalTime += sp.Duration()
+	e.stats.EvalWork += ew // includes rw: charged cold-equivalent
+	e.stats.SkippedWork += rw
+	e.stats.EvalMemoHits += int64(hits)
 	if err != nil {
 		return nil
 	}
-	e.stats.Phase1++
+	e.stats.Comprehensive++
 	return bests
 }
 
@@ -157,8 +157,8 @@ func (e *engine) runConventional() {
 		}
 		chosen := bests[0]
 		e.apply(chosen.Best.LAC)
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, chosen, bests)
+		if e.hooks.OnIteration != nil {
+			e.hooks.OnIteration(e.iter, chosen, bests)
 		}
 		if e.wceCheckpoint(false) {
 			// Certification failed: the engine kept the longest certified
@@ -199,8 +199,8 @@ func (e *engine) runVECBEE() {
 				return
 			}
 		}
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, chosen, bests)
+		if e.hooks.OnIteration != nil {
+			e.hooks.OnIteration(e.iter, chosen, bests)
 		}
 		if e.wceCheckpoint(false) {
 			e.stats.StopReason = StopBudget
@@ -217,20 +217,20 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	p1 := e.root.Child("phase1")
 	defer func() {
 		p1.End()
-		e.stats.PhaseTime.Phase1 += p1.Duration()
+		e.stats.Phase1Time += p1.Duration()
 	}()
 	sp, ctx := e.step(p1, "cpm")
 	res, err := cpm.BuildVECBEECtx(ctx, e.g, e.s, e.opt.DepthLimit, nil, e.opt.Threads)
 	sp.SetInt("work", res.Work)
 	sp.End()
-	e.stats.Step.CPM += sp.Duration()
-	e.stats.Work.CPM += res.Work
+	e.stats.CPMTime += sp.Duration()
+	e.stats.CPMWork += res.Work
 	if err != nil {
 		e.cancelled()
 		return nil, false
 	}
 	if e.fire(fault.FlipDiffBit) {
-		res.FlipDiffBit(e.opt.Fault.Opportunities())
+		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
 	sp, ctx = e.step(p1, "eval")
 	targets := e.liveTargets()
@@ -238,13 +238,13 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("work", ew)
 	sp.End()
-	e.stats.Step.Eval += sp.Duration()
-	e.stats.Work.Eval += ew
+	e.stats.EvalTime += sp.Duration()
+	e.stats.EvalWork += ew
 	if err != nil {
 		e.cancelled()
 		return nil, false
 	}
-	e.stats.Phase1++
+	e.stats.Comprehensive++
 	return bests, true
 }
 
@@ -254,13 +254,9 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 // bound or deviates too much from the estimate, it rolls back and applies
 // only the single best LAC — the SEALS fallback the paper describes.
 func (e *engine) runAccALS() {
-	maxMulti := e.opt.MaxMulti
-	if maxMulti <= 0 {
-		maxMulti = 10
-	}
-	accTol := e.opt.AccTol
-	if accTol <= 0 {
-		accTol = 0.05
+	tol := accTol
+	if e.hooks.AccTol > 0 {
+		tol = e.hooks.AccTol
 	}
 	for {
 		if e.stopped() {
@@ -295,8 +291,8 @@ func (e *engine) runAccALS() {
 		if len(sel) <= 1 {
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			if e.opt.OnIteration != nil {
-				e.opt.OnIteration(e.iter, chosen, bests)
+			if e.hooks.OnIteration != nil {
+				e.hooks.OnIteration(e.iter, chosen, bests)
 			}
 			if e.wceCheckpoint(false) {
 				e.stats.StopReason = StopBudget
@@ -327,19 +323,19 @@ func (e *engine) runAccALS() {
 		}
 		real := e.st.Error()
 		dev := math.Abs(real - est)
-		if real > e.opt.Threshold || dev > accTol*math.Max(est, 1e-12) {
+		if real > e.opt.Threshold || dev > tol*math.Max(est, 1e-12) {
 			// Estimate was unreliable: fall back to a single LAC (SEALS).
 			e.restore(sn)
 			e.stats.Applied -= len(recs)
 			e.iter -= len(recs)
 			chosen := bests[0]
 			e.apply(chosen.Best.LAC)
-			if e.opt.OnIteration != nil {
-				e.opt.OnIteration(e.iter, chosen, bests)
+			if e.hooks.OnIteration != nil {
+				e.hooks.OnIteration(e.iter, chosen, bests)
 			}
-		} else if e.opt.OnIteration != nil {
+		} else if e.hooks.OnIteration != nil {
 			for _, r := range recs {
-				e.opt.OnIteration(r.iter, r.nb, bests)
+				e.hooks.OnIteration(r.iter, r.nb, bests)
 			}
 		}
 		if e.wceCheckpoint(false) {
@@ -356,7 +352,7 @@ func (e *engine) runAccALS() {
 // profile of the last dual phase, and the adaptive early stop of phase 2.
 func (e *engine) runDualPhase(selfAdapt bool) {
 	e.incCuts = true
-	if !e.opt.NoWarmStart {
+	if !e.hooks.NoWarmStart {
 		// Cross-round evaluation memo: phase-2 evaluations not followed by
 		// an apply stay valid into the next comprehensive pass.
 		e.memo = lac.NewMemo(e.g.NumVars())
@@ -381,7 +377,7 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 		if e.stopped() {
 			return
 		}
-		workBefore := e.stats.Work
+		cuts0, cpm0, eval0 := e.stats.CutWork, e.stats.CPMWork, e.stats.EvalWork
 		round := e.root.Child("round")
 		round.SetInt("M", int64(M))
 		round.SetInt("N", int64(N))
@@ -393,34 +389,32 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 
 		// ---------- Self-adaption: tune parameters from the last phase ----------
 		// The paper profiles the steps by runtime; here the profile is the
-		// deterministic StepWork estimate (word operations), which tracks
+		// deterministic work estimate (word operations), which tracks
 		// serial runtime but is identical between runs regardless of
 		// Threads, machine, or load — so the tuned trajectory, and with it
 		// the whole DP-SA flow, stays bit-reproducible.
 		if selfAdapt {
-			d := StepWork{
-				Cuts: e.stats.Work.Cuts - workBefore.Cuts,
-				CPM:  e.stats.Work.CPM - workBefore.CPM,
-				Eval: e.stats.Work.Eval - workBefore.Eval,
-			}
-			total := d.Total()
+			dCuts := e.stats.CutWork - cuts0
+			dCPM := e.stats.CPMWork - cpm0
+			dEval := e.stats.EvalWork - eval0
+			total := dCuts + dCPM + dEval
 			if total > 0 {
 				switch {
-				case d.Cuts*2 > total:
+				case dCuts*2 > total:
 					// Step 1 dominates: growing M amortises the
 					// comprehensive pass over more phase-2 iterations
 					// without increasing the incremental cut work.
-					M = growInt(M, 1+e.opt.RInc)
-				case d.CPM*2 > total:
+					M = growInt(M, 1+rInc)
+				case dCPM*2 > total:
 					// Step 2 dominates: shrink the candidate set so fewer
 					// CPM entries are rebuilt per iteration.
-					M = shrinkInt(M, 1-e.opt.RInc, 6)
-				case d.Eval*2 > total:
+					M = shrinkInt(M, 1-rInc, 6)
+				case dEval*2 > total:
 					// Step 3 dominates: fewer LACs per target node. With
 					// constant LACs there are only two per node and nothing
 					// to reduce; shrinking M instead would buy more
 					// comprehensive passes, so leave the parameters alone.
-					if e.opt.LACs.SASIMI && e.gen.MaxPerNode() > 1 {
+					if e.opt.UseSASIMILACs && e.gen.MaxPerNode() > 1 {
 						e.gen.SetMaxPerNode(e.gen.MaxPerNode() / 2)
 						if e.memo != nil {
 							// Fewer candidates per node: memoized bests
@@ -461,8 +455,8 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	E0 := e.st.Error() // error at the start of this dual-phase iteration
 	chosen := bests[0]
 	cs := e.apply(chosen.Best.LAC)
-	if e.opt.OnIteration != nil {
-		e.opt.OnIteration(e.iter, chosen, bests)
+	if e.hooks.OnIteration != nil {
+		e.hooks.OnIteration(e.iter, chosen, bests)
 	}
 	if e.wceCheckpoint(false) {
 		e.stats.StopReason = StopBudget
@@ -488,11 +482,11 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 	// ---------- Phase 2: incremental analysis ----------
 	p2 := round.Child("phase2")
 	e.cur = p2
-	iters0 := e.stats.Phase2
+	iters0 := e.stats.Incremental
 	defer func() {
-		p2.SetInt("iters", int64(e.stats.Phase2-iters0))
+		p2.SetInt("iters", int64(e.stats.Incremental-iters0))
 		p2.End()
-		e.stats.PhaseTime.Phase2 += p2.Duration()
+		e.stats.Phase2Time += p2.Duration()
 	}()
 	sumEr := 0.0
 	for it := 0; it < N && !e.reachedCap(); it++ {
@@ -521,25 +515,25 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			upd, rerr := e.cache.RowsCtx(ctx, scand, e.opt.Threads)
 			err = rerr
 			res = upd.Res
-			e.stats.Work.CPM += upd.Work
-			e.stats.Work.CPMRowsReused += int64(upd.Reused)
-			e.stats.Work.CPMRowsRecomputed += int64(upd.Recomputed)
+			e.stats.CPMWork += upd.Work
+			e.stats.CPMRowsReused += int64(upd.Reused)
+			e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
 			sp.SetInt("rows_reused", int64(upd.Reused))
 			sp.SetInt("rows_recomputed", int64(upd.Recomputed))
 			sp.SetInt("work", upd.Work)
 		} else {
 			res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, scand, e.opt.Threads)
-			e.stats.Work.CPM += res.Work
+			e.stats.CPMWork += res.Work
 			sp.SetInt("work", res.Work)
 		}
 		sp.End()
-		e.stats.Step.CPM += sp.Duration()
+		e.stats.CPMTime += sp.Duration()
 		if err != nil {
 			e.cancelled()
 			return true
 		}
 		if e.fire(fault.FlipDiffBit) {
-			res.FlipDiffBit(e.opt.Fault.Opportunities())
+			res.FlipDiffBit(e.hooks.Fault.Opportunities())
 		}
 		// The memo is write-mostly here (an apply separates consecutive
 		// phase-2 evaluations, bumping the epoch): its value is that the
@@ -550,10 +544,10 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		sp.SetInt("targets", int64(len(scand)))
 		sp.SetInt("work", ew)
 		sp.End()
-		e.stats.Step.Eval += sp.Duration()
-		e.stats.Work.Eval += ew
-		e.stats.Work.EvalSkipped += rw
-		e.stats.Work.EvalMemoHits += int64(hits)
+		e.stats.EvalTime += sp.Duration()
+		e.stats.EvalWork += ew
+		e.stats.SkippedWork += rw
+		e.stats.EvalMemoHits += int64(hits)
 		if err != nil {
 			e.cancelled()
 			return true
@@ -575,22 +569,22 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 			Eb := e.opt.Threshold
 			halt := false
 			switch {
-			case E <= e.opt.Br*Eb:
+			case E <= bR*Eb:
 				// Far from the bound: unconstrained.
-			case E <= e.opt.Bs*Eb:
-				halt = er > e.opt.Et
+			case E <= bS*Eb:
+				halt = er > eT
 			default:
-				halt = sumEr+er > e.opt.Et
+				halt = sumEr+er > eT
 			}
 			if halt {
 				break
 			}
 		}
 		cs2 := e.apply(cand.Best.LAC)
-		e.stats.Phase2++
+		e.stats.Incremental++
 		sumEr += er
-		if e.opt.OnIteration != nil {
-			e.opt.OnIteration(e.iter, cand, bests2)
+		if e.hooks.OnIteration != nil {
+			e.hooks.OnIteration(e.iter, cand, bests2)
 		}
 		// Remove the target and its removed MFFC from S_cand.
 		gone := map[int32]bool{cand.Node: true}

@@ -10,7 +10,6 @@ import (
 
 	"dpals/internal/aiger"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 	"dpals/internal/obs"
 )
@@ -19,8 +18,9 @@ import (
 // between runs; everything else must be bit-identical.
 func normalizeStats(s Stats) Stats {
 	s.Runtime = 0
-	s.Step = StepTimes{}
-	s.PhaseTime = PhaseTimes{}
+	s.CutTime, s.CPMTime, s.EvalTime = 0, 0, 0
+	s.Phase1Time, s.Phase2Time, s.Phase1WarmTime = 0, 0, 0
+	s.CertTime = 0
 	return s
 }
 
@@ -37,12 +37,13 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		name  string
 		flow  Flow
 		tweak func(*Options)
+		hooks Hooks
 	}{
-		{"Conventional", FlowConventional, nil},
-		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }},
-		{"AccALS", FlowAccALS, func(o *Options) { o.AccTol = 0.5 }},
-		{"DP", FlowDP, nil},
-		{"DP-SA", FlowDPSA, nil},
+		{"Conventional", FlowConventional, nil, Hooks{}},
+		{"VECBEE", FlowVECBEE, func(o *Options) { o.DepthLimit = 3 }, Hooks{}},
+		{"AccALS", FlowAccALS, nil, Hooks{AccTol: 0.5}},
+		{"DP", FlowDP, nil, Hooks{}},
+		{"DP-SA", FlowDPSA, nil, Hooks{}},
 	}
 	metricCases := []struct {
 		name      string
@@ -59,12 +60,13 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		for _, mc := range metricCases {
 			t.Run(fc.name+"/"+mc.name, func(t *testing.T) {
 				run := func(threads int, traced bool) (*Result, []byte) {
-					opt := DefaultOptions(fc.flow, mc.kind, mc.threshold)
+					opt := Options{Flow: fc.flow, Metric: mc.kind, Threshold: mc.threshold}
 					opt.Patterns = 512
 					opt.Seed = 7
 					opt.Threads = threads
 					opt.MaxIters = 10
-					opt.LACs = lac.Options{Constants: true, SASIMI: true}
+					opt.UseConstLACs = true
+					opt.UseSASIMILACs = true
 					if fc.tweak != nil {
 						fc.tweak(&opt)
 					}
@@ -74,7 +76,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 						ctx = obs.WithMetrics(ctx, obs.NewMetrics())
 						ctx = obs.WithProgress(ctx, obs.NewProgress(io.Discard, time.Millisecond))
 					}
-					res, err := RunContext(ctx, g, opt)
+					res, err := RunContext(ctx, g, opt, fc.hooks)
 					if err != nil {
 						t.Fatalf("RunContext(threads=%d traced=%v): %v", threads, traced, err)
 					}
@@ -123,8 +125,8 @@ func sumSpans(spans []obs.SpanData, names ...string) time.Duration {
 }
 
 // TestSpanTreeMatchesStats: the trace and the Stats must be two views of
-// the same measurements — per-step span durations sum exactly to
-// Stats.Step, per-phase spans exactly to Stats.PhaseTime (single timing
+// the same measurements — per-step span durations sum exactly to the
+// step times, per-phase spans exactly to the phase times (single timing
 // code path) — and the tree must be well-formed: no dangling parents, no
 // spans left open.
 func TestSpanTreeMatchesStats(t *testing.T) {
@@ -138,13 +140,13 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 		{"Conventional", FlowConventional},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := DefaultOptions(tc.flow, metric.MSE, R*R)
+			opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
 			opt.Patterns = 512
 			opt.Seed = 3
 			opt.Threads = 4
 			opt.MaxIters = 15
 			tr := obs.New()
-			res, err := RunContext(obs.WithTracer(context.Background(), tr), g, opt)
+			res, err := RunContext(obs.WithTracer(context.Background(), tr), g, opt, Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,28 +178,28 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 				}
 			}
 
-			// Exact, not approximate: Stats.Step and Stats.PhaseTime are
+			// Exact, not approximate: the Stats step and phase times are
 			// accumulated from these same span durations.
-			if got, want := sumSpans(spans, "cuts", "cuts.update", "cuts.warm"), res.Stats.Step.Cuts; got != want {
-				t.Errorf("cut spans sum %v, Stats.Step.Cuts %v", got, want)
+			if got, want := sumSpans(spans, "cuts", "cuts.update", "cuts.warm"), res.Stats.CutTime; got != want {
+				t.Errorf("cut spans sum %v, Stats.CutTime %v", got, want)
 			}
-			if got, want := sumSpans(spans, "cpm", "cpm.warm"), res.Stats.Step.CPM; got != want {
-				t.Errorf("cpm spans sum %v, Stats.Step.CPM %v", got, want)
+			if got, want := sumSpans(spans, "cpm", "cpm.warm"), res.Stats.CPMTime; got != want {
+				t.Errorf("cpm spans sum %v, Stats.CPMTime %v", got, want)
 			}
-			if got, want := sumSpans(spans, "eval"), res.Stats.Step.Eval; got != want {
-				t.Errorf("eval spans sum %v, Stats.Step.Eval %v", got, want)
+			if got, want := sumSpans(spans, "eval"), res.Stats.EvalTime; got != want {
+				t.Errorf("eval spans sum %v, Stats.EvalTime %v", got, want)
 			}
-			if got, want := sumSpans(spans, "phase1"), res.Stats.PhaseTime.Phase1; got != want {
-				t.Errorf("phase1 spans sum %v, Stats.PhaseTime.Phase1 %v", got, want)
+			if got, want := sumSpans(spans, "phase1"), res.Stats.Phase1Time; got != want {
+				t.Errorf("phase1 spans sum %v, Stats.Phase1Time %v", got, want)
 			}
-			if got, want := sumSpans(spans, "phase2"), res.Stats.PhaseTime.Phase2; got != want {
-				t.Errorf("phase2 spans sum %v, Stats.PhaseTime.Phase2 %v", got, want)
+			if got, want := sumSpans(spans, "phase2"), res.Stats.Phase2Time; got != want {
+				t.Errorf("phase2 spans sum %v, Stats.Phase2Time %v", got, want)
 			}
-			if res.Stats.PhaseTime.Phase1 == 0 {
-				t.Error("PhaseTime.Phase1 is zero on a completed run")
+			if res.Stats.Phase1Time == 0 {
+				t.Error("Phase1Time is zero on a completed run")
 			}
-			if tc.flow == FlowDPSA && res.Stats.Phase2 > 0 && res.Stats.PhaseTime.Phase2 == 0 {
-				t.Error("PhaseTime.Phase2 is zero despite phase-2 iterations")
+			if tc.flow == FlowDPSA && res.Stats.Incremental > 0 && res.Stats.Phase2Time == 0 {
+				t.Error("Phase2Time is zero despite phase-2 iterations")
 			}
 
 			// Worker lane spans from the parallel pipeline appear under
@@ -217,25 +219,25 @@ func TestSpanTreeMatchesStats(t *testing.T) {
 }
 
 // TestUntracedRunStillTimesSteps: without any tracer the engine must still
-// produce non-zero Step and PhaseTime figures via the no-op tracer's
+// produce non-zero step and phase times via the no-op tracer's
 // timestamps — the one-code-path property that fixed the -stats drift.
 func TestUntracedRunStillTimesSteps(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 512
 	opt.MaxIters = 10
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Step.Total() == 0 {
+	if res.Stats.CutTime+res.Stats.CPMTime+res.Stats.EvalTime == 0 {
 		t.Error("Step times all zero on an untraced run")
 	}
-	if res.Stats.PhaseTime.Total() == 0 {
-		t.Error("PhaseTime zero on an untraced run")
+	if res.Stats.Phase1Time+res.Stats.Phase2Time == 0 {
+		t.Error("phase times zero on an untraced run")
 	}
-	if res.Stats.PhaseTime.Phase1 == 0 {
-		t.Error("PhaseTime.Phase1 zero on an untraced run")
+	if res.Stats.Phase1Time == 0 {
+		t.Error("Phase1Time zero on an untraced run")
 	}
 }

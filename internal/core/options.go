@@ -7,6 +7,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -54,53 +56,42 @@ func (f Flow) String() string {
 	return "Flow(?)"
 }
 
-// Options configures a synthesis run. The zero value is not usable; start
-// from DefaultOptions.
+// Options configures a synthesis run. It is the one configuration type of
+// the whole stack: the public dpals API, the alsd server and the
+// verification campaign all hand it to RunContext unchanged. The zero value
+// of every field but Flow, Metric and Threshold selects a default, and
+// Resolved is the only place those defaults are applied.
 type Options struct {
-	Flow      Flow
-	Metric    metric.Kind
-	Threshold float64        // error upper bound E_b (ER: fraction; MSE/MED: absolute)
-	Weights   metric.Weights // PO weights; nil = unsigned binary, LSB-first
+	Flow      Flow           `json:"flow"`
+	Metric    metric.Kind    `json:"metric"`
+	Threshold float64        `json:"threshold"`         // error budget E_b (ER: fraction; MSE/MED: absolute)
+	Weights   metric.Weights `json:"weights,omitempty"` // numeric PO weights; nil = unsigned binary, LSB-first
 
-	Patterns int   // Monte-Carlo patterns
-	Seed     int64 // pattern RNG seed
+	Patterns int `json:"patterns"` // Monte-Carlo patterns (default 8192)
+	// Seed is the simulation RNG seed. The zero value (UseDefaultSeed) is
+	// an alias for DefaultSeed; every non-zero seed is its own independent
+	// run.
+	Seed int64 `json:"seed"`
 	// Threads is the worker count for the parallel analysis pipeline
 	// (simulation, disjoint cuts, CPM construction, LAC evaluation), with
 	// the pipeline-wide semantics of package par: ≤0 selects all CPUs
 	// (runtime.GOMAXPROCS), 1 runs serially. Results are bit-identical for
 	// every value.
-	Threads int
+	Threads int `json:"threads"`
 
 	// Exhaustive simulates all 2^PIs input patterns instead of Monte-Carlo
 	// sampling, making every error figure exact. Only allowed for circuits
-	// with at most 24 primary inputs.
-	Exhaustive bool
+	// with at most MaxExhaustiveInputs primary inputs.
+	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// InputProbabilities biases the Monte-Carlo input distribution: entry
 	// i is the probability that input i reads 1 (missing entries: 0.5).
 	// Ignored in exhaustive mode.
-	InputProbabilities []float64
+	InputProbabilities []float64 `json:"inputProbabilities,omitempty"`
 
-	LACs lac.Options // which LAC kinds to generate
-
-	// VECBEE baseline.
-	DepthLimit int // l: 0 = ∞
-
-	// Dual-phase parameters. M ≤ 0 selects the paper defaults (60 for
-	// circuits under 4000 AND nodes, 150 otherwise); N ≤ 0 selects M/3.
-	M, N int
-
-	// Self-adaption parameters (§III-D), used by FlowDPSA. Values ≤ 0 are
-	// normalised to the paper defaults by Run, so the zero value behaves
-	// like DefaultOptions.
-	RInc float64 // candidate-set growth factor (≤0: 0.25)
-	Br   float64 // relaxed bound ratio (≤0: 0.025)
-	Bs   float64 // strict bound ratio (≤0: 0.25)
-	Et   float64 // relative-error-increase threshold (≤0: 0.5)
-
-	// AccALS parameters.
-	MaxMulti int     // max LACs per iteration (≤0: 10)
-	AccTol   float64 // allowed relative deviation estimate vs real (≤0: 0.05)
+	UseConstLACs   bool `json:"useConstLACs,omitempty"`   // constant-0/1 replacements (default when neither kind is set)
+	UseSASIMILACs  bool `json:"sasimi,omitempty"`         // SASIMI signal substitution
+	MaxLACsPerNode int  `json:"maxLACsPerNode,omitempty"` // SASIMI candidates per node (0: 8)
 
 	// WCE-constrained flow (Metric == metric.WCE). WCEBound is the
 	// worst-case error bound to certify: phase-1 analyses prune candidates
@@ -110,75 +101,188 @@ type Options struct {
 	// rolling back to the last certified state on violation. For WCE the
 	// error budget is WCEBound (Threshold is derived from it) and the
 	// outputs are read as an unsigned LSB-first number (Weights must be
-	// nil, ≤ 62 outputs).
-	WCEBound uint64
+	// nil, ≤ 62 outputs). Rejected when non-zero for other metrics.
+	WCEBound uint64 `json:"wceBound,omitempty"`
 	// CertEvery is the certification amortization interval K: a SAT check
 	// runs after every K accepted LACs (≤0: 8). Smaller K certifies more
 	// often and rolls back less work per violation.
-	CertEvery int
+	CertEvery int `json:"certEvery,omitempty"`
 	// CertConflictLimit caps the SAT conflicts of each certification call
 	// (0 = unlimited). An exhausted budget counts as a failed certification
 	// — the engine rolls back — so limited runs stay deterministic.
-	CertConflictLimit int64
+	CertConflictLimit int64 `json:"certConflictLimit,omitempty"`
 
-	// MaxIters caps the number of applied LACs (safety; ≤0 = unlimited).
-	MaxIters int
+	// VECBEE baseline: the one-cut depth limit l (0 = ∞).
+	DepthLimit int `json:"depthLimit,omitempty"`
+
+	// Dual-phase parameters. M = 0 selects the paper defaults (60 for
+	// circuits under 4000 AND nodes, 150 otherwise); N = 0 selects M/3.
+	M int `json:"m,omitempty"`
+	N int `json:"n,omitempty"`
+
+	// MaxIters caps the number of applied LACs (safety; 0 = unlimited).
+	MaxIters int `json:"maxIters,omitempty"`
 
 	// TimeLimit bounds the wall-clock time of a run (0 = unlimited).
 	// RunContext derives a deadline-carrying context from it; when the
 	// limit expires the run stops cooperatively at the next checkpoint and
 	// returns the best-so-far result with Stats.StopReason = StopDeadline.
-	TimeLimit time.Duration
+	TimeLimit time.Duration `json:"timeLimit,omitempty"`
+}
 
-	// NoCPMCache disables the persistent incremental CPM cache of the
-	// dual-phase flows and rebuilds the phase-2 CPM from scratch every
-	// iteration (the pre-cache behaviour). Results are bit-identical either
-	// way; the switch exists for A/B benchmarking and differential tests.
-	NoCPMCache bool
+// Seed handling. Options.Seed = 0 is the zero value and therefore cannot
+// mean "seed the RNG with 0": it is a documented alias for DefaultSeed,
+// normalised by Resolved. Two runs whose resolved options agree — in
+// particular, Seed: 0 and Seed: DefaultSeed — draw identical patterns and
+// return bit-identical results.
+const (
+	// UseDefaultSeed is the zero value of Options.Seed: an alias for
+	// DefaultSeed, not a seed of its own.
+	UseDefaultSeed int64 = 0
+	// DefaultSeed is the simulation seed an unset (zero) Options.Seed
+	// resolves to.
+	DefaultSeed int64 = 1
+)
 
-	// NoWarmStart disables the cross-round warm start of the comprehensive
-	// analysis in the dual-phase flows: every phase-1 pass rebuilds the
-	// disjoint cuts from scratch, revalidates every CPM row, and
-	// re-evaluates every target (the pre-warm-start behaviour). Results —
-	// including the deterministic Stats.Work profile DP-SA tunes from, and
-	// with it the whole self-adaption trajectory — are bit-identical either
-	// way, because warm passes charge the cold-equivalent work (see
-	// StepWork); the switch exists for A/B benchmarking and differential
-	// tests.
-	NoWarmStart bool
+// MaxExhaustiveInputs bounds exhaustive simulation: 2^24 patterns.
+const MaxExhaustiveInputs = 24
 
+// Self-adaption parameters of §III-D, fixed by the paper: the candidate
+// set grows or shrinks by rInc, and phase 2 is unconstrained while the
+// error is below bR·E_b, halts on a relative error increase above eT
+// while below bS·E_b, and halts on a cumulated increase above eT beyond.
+const (
+	rInc = 0.25
+	bR   = 0.025
+	bS   = 0.25
+	eT   = 0.5
+)
+
+// AccALS [14]: at most maxMulti LACs per iteration, and a batch whose real
+// error deviates from its estimate by more than accTol (relative) falls
+// back to the single best LAC.
+const (
+	maxMulti = 10
+	accTol   = 0.05
+)
+
+// Resolved returns o with every defaulted knob replaced by the value the
+// run will actually use: Patterns 8192 when unset, Seed DefaultSeed when
+// UseDefaultSeed, Threads all CPUs when ≤ 0, constant LACs when no LAC
+// kind is enabled, negative structural knobs (DepthLimit, M, N, MaxIters,
+// MaxLACsPerNode) clamped to their 0 "default" sentinel, and the WCE
+// certification knobs normalised (CertEvery defaults to 8 on the WCE path;
+// both are inert — zeroed — for other metrics). It is the only defaulting
+// site of the stack: RunContext resolves on entry, so running o and
+// o.Resolved() is bit-identical, which makes resolved options the right
+// identity for memoising results (Threads aside, which never changes
+// results). The alsd server keys its result cache on exactly this.
+func (o Options) Resolved() Options {
+	if o.Patterns <= 0 {
+		o.Patterns = 8192
+	}
+	if o.Seed == UseDefaultSeed {
+		o.Seed = DefaultSeed
+	}
+	if o.Threads <= 0 {
+		o.Threads = runtime.GOMAXPROCS(0)
+	}
+	if !o.UseConstLACs && !o.UseSASIMILACs {
+		o.UseConstLACs = true
+	}
+	o.MaxLACsPerNode = max(o.MaxLACsPerNode, 0)
+	o.DepthLimit = max(o.DepthLimit, 0)
+	o.M = max(o.M, 0)
+	o.N = max(o.N, 0)
+	o.MaxIters = max(o.MaxIters, 0)
+	if o.Metric == metric.WCE {
+		if o.CertEvery <= 0 {
+			o.CertEvery = 8
+		}
+		o.CertConflictLimit = max(o.CertConflictLimit, 0)
+	} else {
+		// The certification knobs only exist on the WCE path; zeroing them
+		// keeps resolved options a sound cache identity for the other
+		// metrics (WCEBound ≠ 0 is rejected by Validate anyway).
+		o.CertEvery = 0
+		o.CertConflictLimit = 0
+	}
+	return o
+}
+
+// Validate checks o against a circuit with the given numbers of primary
+// inputs and outputs. It is the one validation site of the stack: the
+// public API, the alsd server and RunContext all call it.
+func (o Options) Validate(inputs, outputs int) error {
+	if o.Threshold < 0 {
+		return errors.New("negative error threshold")
+	}
+	if o.Weights != nil && len(o.Weights) != outputs {
+		return fmt.Errorf("%d weights for %d outputs", len(o.Weights), outputs)
+	}
+	if o.Metric == metric.WCE {
+		// The certification miter reads the outputs as one unsigned
+		// LSB-first number; arbitrary weights have no SAT counterpart.
+		if o.Weights != nil {
+			return errors.New("metric WCE uses the unsigned LSB-first output interpretation; weights must be nil")
+		}
+		if outputs > 62 {
+			return fmt.Errorf("metric WCE limited to 62 outputs, circuit has %d", outputs)
+		}
+	} else if o.WCEBound != 0 {
+		return errors.New("a WCE bound requires metric WCE")
+	}
+	if o.Exhaustive {
+		if inputs > MaxExhaustiveInputs {
+			return fmt.Errorf("exhaustive simulation infeasible for %d inputs (max %d)", inputs, MaxExhaustiveInputs)
+		}
+		return nil // input probabilities are ignored
+	}
+	for _, p := range o.InputProbabilities {
+		if p < 0 || p > 1 {
+			return fmt.Errorf("input probability %v out of [0,1]", p)
+		}
+	}
+	return nil
+}
+
+// Hooks are the test and verification switches of a run, kept out of
+// Options so the public API cannot reach them: the public entry points
+// always pass the zero value, which is a production run.
+type Hooks struct {
 	// OnIteration, when non-nil, observes every applied LAC: the 1-based
 	// iteration number, the chosen candidate, and the full sorted
 	// evaluation of the iteration (phase-2 iterations only see the
-	// candidate set S_cand). Used by the Fig. 4 experiment.
+	// candidate set S_cand). Used by the Fig. 4 experiment and the
+	// verification campaign's evaluation traces.
 	OnIteration func(iter int, chosen lac.NodeBest, bests []lac.NodeBest)
 
 	// Fault, when non-nil, injects one deliberate bookkeeping mutation
 	// into the run (see internal/fault): the engine consults the plan at
 	// its bookkeeping sites and corrupts its state exactly once. Used only
-	// by the alscheck differential-verification campaign to prove the
-	// oracle cross-checks detect real engine bugs; nil — the default and
-	// the only production value — is a faithful run. Plans are single-use:
-	// never share one across runs.
+	// by the alscheck campaign to prove the oracle cross-checks detect
+	// real engine bugs. Plans are single-use: never share one across runs.
 	Fault *fault.Plan
-}
 
-// DefaultOptions returns the paper's experimental configuration for the
-// given flow and metric.
-func DefaultOptions(flow Flow, kind metric.Kind, threshold float64) Options {
-	return Options{
-		Flow:      flow,
-		Metric:    kind,
-		Threshold: threshold,
-		Patterns:  8192,
-		Seed:      1,
-		Threads:   runtime.GOMAXPROCS(0),
-		LACs:      lac.Options{Constants: true},
-		RInc:      0.25,
-		Br:        0.025,
-		Bs:        0.25,
-		Et:        0.5,
-	}
+	// NoCPMCache disables the persistent incremental CPM cache of the
+	// dual-phase flows and rebuilds the phase-2 CPM from scratch every
+	// iteration. Results are bit-identical either way; the switch is the
+	// differential reference for the cache.
+	NoCPMCache bool
+
+	// NoWarmStart disables the cross-round warm start of the comprehensive
+	// analysis in the dual-phase flows: every phase-1 pass rebuilds the
+	// disjoint cuts from scratch, revalidates every CPM row, and
+	// re-evaluates every target. Results — including the deterministic
+	// work profile DP-SA tunes from, and with it the whole self-adaption
+	// trajectory — are bit-identical either way, because warm passes charge
+	// the cold-equivalent work; the switch is the differential reference
+	// for the reuse layer.
+	NoWarmStart bool
+
+	// AccTol overrides the AccALS estimate-deviation tolerance (0: accTol),
+	// so tests can force or suppress the single-LAC fallback.
+	AccTol float64
 }
 
 // StopReason tells why a synthesis run ended. Every run ends for exactly
@@ -200,138 +304,127 @@ const (
 	StopDeadline StopReason = "deadline"
 )
 
-// StepTimes records the cumulated runtime of the three error-analysis steps
-// of Fig. 3: (1) obtaining/updating disjoint cuts, (2) calculating the CPM,
-// (3) calculating the error increases of the LACs. Each figure is the
-// summed duration of the matching obs spans ("cuts"/"cuts.update", "cpm",
-// "eval") — the single timing code path shared with trace exports, so a
-// -stats dump and a trace summary can never disagree.
-type StepTimes struct {
-	Cuts time.Duration
-	CPM  time.Duration
-	Eval time.Duration
-}
-
-// Total returns the summed step time.
-func (t StepTimes) Total() time.Duration { return t.Cuts + t.CPM + t.Eval }
-
-// PhaseTimes records the cumulated wall-clock time of the two phases of
-// the dual-phase framework, derived from the durations of the "phase1"
-// and "phase2" obs spans. Phase1 covers every comprehensive analysis
-// (including the per-iteration analyses of the conventional, VECBEE and
-// AccALS baselines, which are all phase-1-style); Phase2 covers the
-// incremental phase-2 loops of the dual-phase flows, applies included.
-// Because both the exported trace and these fields read the same span
-// durations, the per-phase spans of a trace sum exactly to PhaseTimes.
-// Phase1Warm is the slice of Phase1 spent in warm-started passes (rounds
-// that reused the previous round's cuts and CPM rows; see
-// Stats.Phase1Warm) — the step-function drop of the cross-round reuse
-// shows as Phase1Warm per pass being far below (Phase1−Phase1Warm) per
-// cold pass.
-type PhaseTimes struct {
-	Phase1     time.Duration
-	Phase2     time.Duration
-	Phase1Warm time.Duration
-}
-
-// Total returns the summed phase time.
-func (t PhaseTimes) Total() time.Duration { return t.Phase1 + t.Phase2 }
-
-// StepWork is the deterministic analogue of StepTimes: cumulated work
-// estimates of the three analysis steps in bitvec word operations, as
-// self-reported by cut.Set.Work, cpm.Result.Work and lac.EvaluateTargets.
-// Unlike wall-clock times these are identical between runs regardless of
-// Threads, machine, or load, so DP-SA's self-adaption (§III-D) profiles
-// the steps with StepWork — keeping the whole flow bit-deterministic —
-// while StepTimes keeps reporting real runtimes.
-type StepWork struct {
-	Cuts int64
-	CPM  int64
-	Eval int64
-
-	// CPM cache row accounting (dual-phase flows with the incremental
-	// cache): how many of the rows needed by the analyses were served from
-	// the cache versus recomputed. Cold comprehensive passes recompute
-	// every row; warm passes and phase-2 iterations reuse whatever the
-	// applied LACs did not invalidate. The reuse rate is CPMRowsReused /
-	// (CPMRowsReused + CPMRowsRecomputed). Deterministic like the work
-	// counters; not part of Total.
-	CPMRowsReused     int64
-	CPMRowsRecomputed int64
-
-	// Cross-round warm-start accounting (dual-phase flows unless
-	// Options.NoWarmStart). Warm comprehensive passes charge Cuts, CPM and
-	// Eval with the cold-equivalent work — reused cuts, rows and
-	// evaluations charge the cost recorded at their last computation, which
-	// unchanged inputs make exactly the cost of recomputing them — so the
-	// profile DP-SA tunes from, and with it the whole trajectory, is
-	// bit-identical between warm and cold runs. The *Skipped fields report
-	// how much of that charged work was served from the previous round
-	// instead of performed (0 in cold runs); EvalMemoHits counts the
-	// targets whose generation+evaluation was reused whole; the Phase1 row
-	// counters are the comprehensive-pass slice of the row accounting
-	// above, from which the phase-1 reuse rate is derived.
-	CutsSkipped             int64
-	CPMSkipped              int64
-	EvalSkipped             int64
-	EvalMemoHits            int64
-	CPMRowsReusedPhase1     int64
-	CPMRowsRecomputedPhase1 int64
-}
-
-// Phase1ReuseRate returns the fraction of phase-1 CPM rows served from the
-// previous round by warm-started comprehensive passes (0 when no phase-1
-// rows were accounted, e.g. cold-only runs without the cache).
-func (w StepWork) Phase1ReuseRate() float64 {
-	total := w.CPMRowsReusedPhase1 + w.CPMRowsRecomputedPhase1
-	if total == 0 {
-		return 0
-	}
-	return float64(w.CPMRowsReusedPhase1) / float64(total)
-}
-
-// Total returns the summed step work.
-func (w StepWork) Total() int64 { return w.Cuts + w.CPM + w.Eval }
-
-// Stats reports what a run did.
+// Stats reports what a run did. It is the one result type of the stack;
+// the JSON tags are the keys of alsrun's -stats dump, with durations in
+// nanoseconds.
 type Stats struct {
-	Applied     int // LACs applied in total
-	Phase1      int // comprehensive iterations (= dual-phase rounds for DP)
-	Phase1Warm  int // comprehensive passes warm-started from the previous round
-	Phase2      int // incremental iterations
-	CutUpdates  int // incremental cut repairs performed after applies
-	Rollbacks   int // AccALS/VECBEE reverted iterations
-	NodesBefore int
-	NodesAfter  int
-	Runtime     time.Duration
-	Step        StepTimes
-	PhaseTime   PhaseTimes
-	Work        StepWork
+	Applied       int `json:"applied"`       // LACs applied in total
+	Comprehensive int `json:"comprehensive"` // comprehensive (phase-1) analyses (= dual-phase rounds for DP)
+	Incremental   int `json:"incremental"`   // incremental (phase-2) iterations
+	Rollbacks     int `json:"rollbacks"`     // AccALS/VECBEE reverted iterations and WCE rollbacks
+	NodesBefore   int `json:"nodes_before"`
+	NodesAfter    int `json:"nodes_after"`
+
+	Runtime time.Duration `json:"runtime_ns"`
+
+	// Cumulated runtime of the three error-analysis steps of Fig. 3: (1)
+	// obtaining/updating disjoint cuts, (2) calculating the CPM, (3)
+	// calculating the error increases of the LACs. Each figure is the
+	// summed duration of the matching obs spans ("cuts"/"cuts.update"/
+	// "cuts.warm", "cpm"/"cpm.warm", "eval") — the single timing code path
+	// shared with trace exports, so a -stats dump and a trace summary can
+	// never disagree.
+	CutTime  time.Duration `json:"cut_time_ns"`
+	CPMTime  time.Duration `json:"cpm_time_ns"`
+	EvalTime time.Duration `json:"eval_time_ns"`
+
+	// Cumulated wall-clock time of the two phases, derived from the
+	// durations of the "phase1" and "phase2" spans. Phase1Time covers every
+	// comprehensive analysis (including the per-iteration analyses of the
+	// conventional, VECBEE and AccALS baselines, which are all
+	// phase-1-style); Phase2Time covers the incremental phase-2 loops of the
+	// dual-phase flows, applies included. Phase1WarmTime is the slice of
+	// Phase1Time spent in warm-started passes (see WarmComprehensive).
+	Phase1Time     time.Duration `json:"phase1_time_ns"`
+	Phase2Time     time.Duration `json:"phase2_time_ns"`
+	Phase1WarmTime time.Duration `json:"phase1_warm_time_ns,omitempty"`
+
+	// Deterministic work estimates of the three steps in bitvec word
+	// operations, as self-reported by cut.Set.Work, cpm.Result.Work and
+	// lac.EvaluateTargets. Unlike the times these are identical between
+	// runs regardless of Threads, machine, or load, so DP-SA's
+	// self-adaption (§III-D) profiles the steps with them — keeping the
+	// whole flow bit-deterministic.
+	CutWork  int64 `json:"cut_work"`
+	CPMWork  int64 `json:"cpm_work"`
+	EvalWork int64 `json:"eval_work"`
+
+	// CPM cache row accounting (dual-phase flows): how many of the rows
+	// needed by the analyses were served from the persistent incremental
+	// cache versus recomputed. Cold comprehensive passes recompute every
+	// row; warm passes and phase-2 iterations reuse whatever the applied
+	// LACs did not invalidate. Zero when the cache is unused by the flow.
+	CPMRowsReused     int64 `json:"cpm_rows_reused"`
+	CPMRowsRecomputed int64 `json:"cpm_rows_recomputed"`
+
+	// Cross-round warm-start accounting (dual-phase flows).
+	// WarmComprehensive counts the comprehensive passes that reused the
+	// incrementally maintained analysis state instead of rebuilding cold.
+	// Warm passes charge CutWork, CPMWork and EvalWork with the
+	// cold-equivalent work — reused cuts, rows and evaluations charge the
+	// cost recorded at their last computation — so the profile DP-SA tunes
+	// from, and with it the whole trajectory, is bit-identical between warm
+	// and cold runs. SkippedWork is how much of that charged work was
+	// served from the previous round instead of performed; EvalMemoHits
+	// counts the target evaluations reused whole from the cross-round memo;
+	// Phase1RowsReused / Phase1RowsRecomputed are the comprehensive-pass
+	// slice of the row accounting above.
+	WarmComprehensive    int   `json:"warm_comprehensive,omitempty"`
+	Phase1RowsReused     int64 `json:"phase1_rows_reused,omitempty"`
+	Phase1RowsRecomputed int64 `json:"phase1_rows_recomputed,omitempty"`
+	SkippedWork          int64 `json:"skipped_work,omitempty"`
+	EvalMemoHits         int64 `json:"eval_memo_hits,omitempty"`
+
+	// CutUpdates counts the incremental cut-set repairs performed after
+	// applied LACs (dual-phase flows): each applied LAC patches the
+	// affected cut cones in place instead of rebuilding the set.
+	CutUpdates int `json:"cut_updates_incremental,omitempty"`
 
 	// Pool is the final snapshot of the CPM cache's diff-vector free list
 	// (dual-phase flows with the cache enabled; zero otherwise) —
-	// deterministic like Work, see bitvec.PoolStats.
-	Pool bitvec.PoolStats
+	// deterministic like the work counters, see bitvec.PoolStats.
+	Pool bitvec.PoolStats `json:"-"`
+
+	// MTrace is the DP-SA self-adaption trajectory: the candidate-set size
+	// M after each dual-phase round. Nil for other flows.
+	MTrace []int `json:"m_trace,omitempty"`
 
 	// WCE-constrained flow accounting (Metric == metric.WCE; zero
 	// otherwise). CertifiedWCE is the SAT-proven worst-case error bound of
-	// the returned circuit — every emitted circuit is certified, even on
+	// the returned circuit: the solver certified that NO input deviates by
+	// more than this, so it holds on all 2^PIs inputs and never exceeds
+	// Options.WCEBound — every emitted circuit is certified, even on
 	// cancellation (the uncertified tail is rolled back instead of running
 	// new SAT work). CertCalls counts SAT certification calls, CertCexHits
 	// the certifications refuted by a cached counterexample without solver
 	// work, CertRollbacks the checkpoint failures that triggered the
 	// rollback-and-replay path, and CertTime the summed duration of the
-	// "cert" obs spans.
-	CertifiedWCE  uint64
-	CertCalls     int
-	CertCexHits   int
-	CertRollbacks int
-	CertTime      time.Duration
+	// "cert" spans.
+	CertifiedWCE  uint64        `json:"certified_wce,omitempty"`
+	CertCalls     int           `json:"cert_calls,omitempty"`
+	CertCexHits   int           `json:"cert_cex_hits,omitempty"`
+	CertRollbacks int           `json:"cert_rollbacks,omitempty"`
+	CertTime      time.Duration `json:"cert_time_ns,omitempty"`
 
 	// StopReason tells why the run ended (budget, max-iters, cancelled,
-	// deadline). Always set by Run/RunContext.
-	StopReason StopReason
+	// deadline). Always set by RunContext.
+	StopReason StopReason `json:"stop_reason"`
+}
 
-	// Self-adaption trajectory (DP-SA): the M value after each dual phase.
-	MTrace []int
+// ReuseRate returns the fraction of needed CPM rows that were served from
+// the incremental cache (0 when the cache saw no rows).
+func (s Stats) ReuseRate() float64 { return frac(s.CPMRowsReused, s.CPMRowsRecomputed) }
+
+// Phase1ReuseRate returns the fraction of phase-1 CPM rows served from the
+// previous round by warm-started comprehensive passes (0 when no phase-1
+// rows were accounted).
+func (s Stats) Phase1ReuseRate() float64 {
+	return frac(s.Phase1RowsReused, s.Phase1RowsRecomputed)
+}
+
+func frac(a, b int64) float64 {
+	if a+b == 0 {
+		return 0
+	}
+	return float64(a) / float64(a+b)
 }

@@ -26,7 +26,7 @@ func aagBytes(t *testing.T, res *Result) []byte {
 
 // TestWarmComprehensiveMatchesCold is the differential contract of the
 // cross-round phase-1 reuse: a dual-phase run with warm starts enabled must
-// be bit-identical to the same run with Options.NoWarmStart — same circuit,
+// be bit-identical to the same run with Hooks.NoWarmStart — same circuit,
 // same error, same trajectory, and (because reused work is charged at its
 // recorded cold-equivalent cost) the same deterministic Work profile that
 // DP-SA's self-adaption tunes from, at every thread count. Small M forces
@@ -48,15 +48,15 @@ func TestWarmComprehensiveMatchesCold(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, threads := range threadCounts {
 				run := func(noWarm bool) *Result {
-					opt := DefaultOptions(tc.flow, metric.MSE, R*R)
+					opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
 					opt.Patterns = 1024
 					opt.Seed = 7
 					opt.Threads = threads
 					opt.MaxIters = 25
 					opt.M = 8 // several dual-phase rounds within MaxIters
-					opt.LACs = lac.Options{Constants: true, SASIMI: true}
-					opt.NoWarmStart = noWarm
-					res, err := Run(g, opt)
+					opt.UseConstLACs = true
+					opt.UseSASIMILACs = true
+					res, err := RunContext(context.Background(), g, opt, Hooks{NoWarmStart: noWarm})
 					if err != nil {
 						t.Fatalf("Run(threads=%d, noWarm=%v): %v", threads, noWarm, err)
 					}
@@ -64,22 +64,22 @@ func TestWarmComprehensiveMatchesCold(t *testing.T) {
 				}
 				warm := run(false)
 				cold := run(true)
-				if warm.Stats.Phase1Warm == 0 {
+				if warm.Stats.WarmComprehensive == 0 {
 					t.Fatalf("threads=%d: no warm-started pass in %d comprehensive passes; the differential is vacuous",
-						threads, warm.Stats.Phase1)
+						threads, warm.Stats.Comprehensive)
 				}
-				if cold.Stats.Phase1Warm != 0 {
-					t.Errorf("threads=%d: NoWarmStart run reports %d warm passes", threads, cold.Stats.Phase1Warm)
+				if cold.Stats.WarmComprehensive != 0 {
+					t.Errorf("threads=%d: NoWarmStart run reports %d warm passes", threads, cold.Stats.WarmComprehensive)
 				}
 				if warm.Error != cold.Error {
 					t.Errorf("threads=%d: Error warm %v, cold %v", threads, warm.Error, cold.Error)
 				}
 				if warm.Stats.Applied != cold.Stats.Applied ||
-					warm.Stats.Phase1 != cold.Stats.Phase1 ||
-					warm.Stats.Phase2 != cold.Stats.Phase2 {
+					warm.Stats.Comprehensive != cold.Stats.Comprehensive ||
+					warm.Stats.Incremental != cold.Stats.Incremental {
 					t.Errorf("threads=%d: trajectory warm %d/%d/%d, cold %d/%d/%d", threads,
-						warm.Stats.Applied, warm.Stats.Phase1, warm.Stats.Phase2,
-						cold.Stats.Applied, cold.Stats.Phase1, cold.Stats.Phase2)
+						warm.Stats.Applied, warm.Stats.Comprehensive, warm.Stats.Incremental,
+						cold.Stats.Applied, cold.Stats.Comprehensive, cold.Stats.Incremental)
 				}
 				if warm.Stats.StopReason != cold.Stats.StopReason {
 					t.Errorf("threads=%d: StopReason warm %q, cold %q", threads, warm.Stats.StopReason, cold.Stats.StopReason)
@@ -87,12 +87,12 @@ func TestWarmComprehensiveMatchesCold(t *testing.T) {
 				// The charged cold-equivalent work: the fields DP-SA's
 				// self-adaption profiles must be invariant under reuse. The
 				// *Skipped/memo counters legitimately differ (zero cold).
-				if warm.Stats.Work.Cuts != cold.Stats.Work.Cuts ||
-					warm.Stats.Work.CPM != cold.Stats.Work.CPM ||
-					warm.Stats.Work.Eval != cold.Stats.Work.Eval {
+				if warm.Stats.CutWork != cold.Stats.CutWork ||
+					warm.Stats.CPMWork != cold.Stats.CPMWork ||
+					warm.Stats.EvalWork != cold.Stats.EvalWork {
 					t.Errorf("threads=%d: charged work warm %d/%d/%d, cold %d/%d/%d", threads,
-						warm.Stats.Work.Cuts, warm.Stats.Work.CPM, warm.Stats.Work.Eval,
-						cold.Stats.Work.Cuts, cold.Stats.Work.CPM, cold.Stats.Work.Eval)
+						warm.Stats.CutWork, warm.Stats.CPMWork, warm.Stats.EvalWork,
+						cold.Stats.CutWork, cold.Stats.CPMWork, cold.Stats.EvalWork)
 				}
 				if tc.flow == FlowDPSA {
 					wm, cm := warm.Stats.MTrace, cold.Stats.MTrace
@@ -119,35 +119,35 @@ func TestWarmComprehensiveMatchesCold(t *testing.T) {
 func TestWarmReuseReportsNonzeroCounters(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 1024
 	opt.Seed = 7
 	opt.MaxIters = 25
 	opt.M = 8
-	opt.LACs = lac.Options{Constants: true, SASIMI: true}
+	opt.UseConstLACs = true
+	opt.UseSASIMILACs = true
 	res, err := Run(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := res.Stats.Work
-	if res.Stats.Phase1Warm == 0 {
+	if res.Stats.WarmComprehensive == 0 {
 		t.Fatal("no warm pass; M too large for the iteration budget?")
 	}
-	if w.CPMRowsReusedPhase1 == 0 {
+	if res.Stats.Phase1RowsReused == 0 {
 		t.Error("warm passes reused no CPM rows")
 	}
-	if w.CutsSkipped == 0 || w.CPMSkipped == 0 {
-		t.Errorf("no skipped work charged: cuts %d, cpm %d", w.CutsSkipped, w.CPMSkipped)
+	if res.Stats.SkippedWork == 0 {
+		t.Error("no skipped work charged")
 	}
-	if r := w.Phase1ReuseRate(); r <= 0 || r > 1 {
+	if r := res.Stats.Phase1ReuseRate(); r <= 0 || r > 1 {
 		t.Errorf("Phase1ReuseRate = %v, want in (0,1]", r)
 	}
-	if res.Stats.PhaseTime.Phase1Warm <= 0 {
-		t.Error("PhaseTime.Phase1Warm not recorded")
+	if res.Stats.Phase1WarmTime <= 0 {
+		t.Error("Phase1WarmTime not recorded")
 	}
-	if res.Stats.PhaseTime.Phase1Warm > res.Stats.PhaseTime.Phase1 {
+	if res.Stats.Phase1WarmTime > res.Stats.Phase1Time {
 		t.Errorf("Phase1Warm time %v exceeds total Phase1 time %v",
-			res.Stats.PhaseTime.Phase1Warm, res.Stats.PhaseTime.Phase1)
+			res.Stats.Phase1WarmTime, res.Stats.Phase1Time)
 	}
 }
 
@@ -159,11 +159,11 @@ func TestWarmReuseReportsNonzeroCounters(t *testing.T) {
 func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 512
 	opt.Seed = 3
 	mk := func() (*engine, context.CancelFunc) {
-		e, err := newEngine(g, opt)
+		e, err := newEngine(g, opt.Resolved(), Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 	if prev == nil || !prev.InSync() {
 		t.Fatal("setup: expected a complete, in-sync cut set after apply")
 	}
-	e.opt.NoWarmStart = true // force the cold path, where the bug lived
+	e.hooks.NoWarmStart = true // force the cold path, where the bug lived
 	cancel()
 	if bests := e.comprehensive(e.root); bests != nil {
 		t.Fatalf("cancelled pass returned %d bests", len(bests))
@@ -217,10 +217,10 @@ func TestComprehensiveCancelKeepsPreviousCuts(t *testing.T) {
 func TestRollbackThenComprehensiveRebuildsCold(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
-	opt := DefaultOptions(FlowDPSA, metric.MSE, R*R)
+	opt := Options{Flow: FlowDPSA, Metric: metric.MSE, Threshold: R * R}
 	opt.Patterns = 512
 	opt.Seed = 3
-	e, err := newEngine(g, opt)
+	e, err := newEngine(g, opt.Resolved(), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +243,9 @@ func TestRollbackThenComprehensiveRebuildsCold(t *testing.T) {
 	if e.warmStart() {
 		t.Fatal("rollback left the engine claiming a warm start")
 	}
-	warmAfter := e.stats.Phase1Warm
+	warmAfter := e.stats.WarmComprehensive
 	again := e.comprehensive(e.root)
-	if e.stats.Phase1Warm != warmAfter {
+	if e.stats.WarmComprehensive != warmAfter {
 		t.Fatal("pass after rollback counted as warm")
 	}
 	if len(again) != len(ref) {

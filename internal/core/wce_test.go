@@ -9,7 +9,7 @@ import (
 )
 
 func wceOptions(flow Flow, bound uint64) Options {
-	opt := DefaultOptions(flow, metric.WCE, float64(bound))
+	opt := Options{Flow: flow, Metric: metric.WCE, Threshold: float64(bound)}
 	opt.WCEBound = bound
 	opt.Patterns = 512
 	opt.Threads = 1
@@ -31,7 +31,7 @@ func TestWCERejectsBadOptions(t *testing.T) {
 		t.Error("a 64-output circuit accepted on the WCE path")
 	}
 
-	med := DefaultOptions(FlowDP, metric.MED, 2)
+	med := Options{Flow: FlowDP, Metric: metric.MED, Threshold: 2}
 	med.WCEBound = 3
 	if _, err := Run(gen.Adder(4), med); err == nil {
 		t.Error("WCEBound accepted for a non-WCE metric")

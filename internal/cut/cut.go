@@ -102,7 +102,7 @@ func (s *Set) ForceSync() { s.markSynced() }
 // in-sync set this equals NewSet's work exactly: a node untouched since
 // its last recompute has unchanged successors (else it would lie in some
 // repaired S_v cone), so recomputing it would repeat the recorded work.
-// Warm-started passes charge this figure to the Stats.Work profile so the
+// Warm-started passes charge this figure to the CutWork profile so the
 // DP-SA self-adaption trajectory is bit-identical to a cold run's.
 func (s *Set) FullBuildWork() int64 {
 	var w int64

@@ -11,7 +11,7 @@ import (
 
 func TestCertifierCexScreening(t *testing.T) {
 	orig := gen.MultU(4, 3)
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
+	opt := core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: metric.ReferenceError(orig.NumPOs())}
 	opt.Patterns = 1 << 7
 	res, err := core.Run(orig, opt)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestCertifierCexScreening(t *testing.T) {
 
 func TestCertifierBudgetExhaustion(t *testing.T) {
 	orig := gen.MultU(4, 3)
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, metric.ReferenceError(orig.NumPOs()))
+	opt := core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: metric.ReferenceError(orig.NumPOs())}
 	opt.Patterns = 1 << 7
 	res, err := core.Run(orig, opt)
 	if err != nil {

@@ -93,7 +93,7 @@ func TestWCEAtMostExactOnSmall(t *testing.T) {
 	// with the exhaustively measured one.
 	orig := gen.MultU(5, 4)
 	R := metric.ReferenceError(orig.NumPOs())
-	opt := core.DefaultOptions(core.FlowDPSA, metric.MED, R)
+	opt := core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: R}
 	opt.Patterns = 1 << 9
 	opt.Exhaustive = true
 	res, err := core.Run(orig, opt)

@@ -9,13 +9,13 @@
 //   - Every API is nil-safe. Methods on a nil *Tracer, *Span, *Metrics or
 //     *Progress are no-ops, so instrumentation sites never branch.
 //   - FromContext returns a shared no-op tracer when none is installed.
-//     Its spans carry timestamps (the engine derives Stats.Step and
-//     Stats.PhaseTime from span durations — one code path whether or not
+//     Its spans carry timestamps (the engine derives the step and phase
+//     times of its Stats from span durations — one code path whether or not
 //     anyone is watching) but record nothing: no attribute storage, no
 //     span retention, no locking.
 //   - Tracing reads engine state; it never writes it. The synthesis
 //     trajectory is driven exclusively by deterministic quantities
-//     (pattern bits, StepWork estimates), so a traced run is bit-identical
+//     (pattern bits, work estimates), so a traced run is bit-identical
 //     to an untraced one at every thread count — asserted by
 //     core.TestTracingDoesNotPerturbResults.
 //

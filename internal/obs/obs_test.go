@@ -60,7 +60,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 // TestNopTracerTimestamps: the shared no-op tracer must still produce
-// usable durations (the engine derives Stats.Step from them) while
+// usable durations (the engine derives its step times from them) while
 // retaining nothing.
 func TestNopTracerTimestamps(t *testing.T) {
 	tr := FromContext(context.Background())

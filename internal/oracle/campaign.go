@@ -16,35 +16,21 @@ import (
 	"dpals/internal/metric"
 )
 
-// RunSpec is one reproducible campaign run: everything needed to rebuild
-// the core.Options and re-execute the exact same synthesis, including an
-// optional mid-run cancellation point and an optional seeded fault. It is
-// JSON-serialisable so repro sidecars can carry it verbatim.
+// RunSpec is one reproducible campaign run: the core.Options of the
+// synthesis plus the engine hooks to run it under — the differential-
+// reference switches, an optional mid-run cancellation point and an
+// optional seeded fault. It is JSON-serialisable so repro sidecars can
+// carry it verbatim.
 type RunSpec struct {
-	Flow       core.Flow   `json:"flow"`
-	Metric     metric.Kind `json:"metric"`
-	Threshold  float64     `json:"threshold"`
-	Patterns   int         `json:"patterns"`
-	Seed       int64       `json:"seed"`
-	Threads    int         `json:"threads"`
-	Exhaustive bool        `json:"exhaustive,omitempty"`
-	SASIMI     bool        `json:"sasimi,omitempty"`
-	MaxIters   int         `json:"maxIters,omitempty"`
-	NoCPMCache bool        `json:"noCPMCache,omitempty"`
-	// NoWarmStart disables the cross-round phase-1 reuse (incremental cut
-	// carry-over, CPM row refresh, eval memo) and forces every
-	// comprehensive pass to rebuild cold. Warm and cold runs of the same
-	// spec must be bit-identical, so pairing a spec with its NoWarmStart
-	// twin is a differential check on the whole reuse layer.
-	NoWarmStart bool `json:"noWarmStart,omitempty"`
+	core.Options
 
-	// WCE-constrained flow (Metric == metric.WCE): the certified bound,
-	// the certification amortization interval, and the per-call SAT
-	// conflict cap (0 = unlimited). Threshold is derived from WCEBound by
-	// the engine; keep spec.Threshold = float64(WCEBound) for readability.
-	WCEBound          uint64 `json:"wceBound,omitempty"`
-	CertEvery         int    `json:"certEvery,omitempty"`
-	CertConflictLimit int64  `json:"certConflictLimit,omitempty"`
+	// NoCPMCache and NoWarmStart select the engine's differential
+	// references (see core.Hooks): runs with and without them must be
+	// bit-identical, so pairing a spec with its twin is a differential
+	// check on the CPM cache and on the whole cross-round reuse layer
+	// (incremental cut carry-over, CPM row refresh, eval memo).
+	NoCPMCache  bool `json:"noCPMCache,omitempty"`
+	NoWarmStart bool `json:"noWarmStart,omitempty"`
 
 	// CancelAfter > 0 cancels the run's context right after the N-th
 	// applied LAC, exercising the best-so-far exit paths.
@@ -56,25 +42,23 @@ type RunSpec struct {
 	FaultNth int        `json:"faultNth,omitempty"`
 }
 
-// Options builds the core.Options for this spec. The returned Options
-// carries a fresh single-use fault plan when the spec seeds one.
-func (s RunSpec) Options() core.Options {
-	opt := core.DefaultOptions(s.Flow, s.Metric, s.Threshold)
-	opt.Patterns = s.Patterns
-	opt.Seed = s.Seed
-	opt.Threads = s.Threads
-	opt.Exhaustive = s.Exhaustive
-	opt.LACs = lac.Options{Constants: true, SASIMI: s.SASIMI}
-	opt.MaxIters = s.MaxIters
-	opt.NoCPMCache = s.NoCPMCache
-	opt.NoWarmStart = s.NoWarmStart
-	opt.WCEBound = s.WCEBound
-	opt.CertEvery = s.CertEvery
-	opt.CertConflictLimit = s.CertConflictLimit
-	if s.Fault != fault.None && s.Fault != "" {
-		opt.Fault = fault.New(s.Fault, s.FaultNth)
+// options returns the spec's synthesis options. Campaign runs always
+// include constant LACs; a spec only records whether SASIMI LACs are added
+// (the "sasimi" key), so committed repro sidecars replay unchanged.
+func (s RunSpec) options() core.Options {
+	o := s.Options
+	o.UseConstLACs = true
+	return o
+}
+
+// hooks builds the engine hooks for this spec, with a fresh single-use
+// fault plan when the spec seeds one.
+func (s RunSpec) hooks() core.Hooks {
+	h := core.Hooks{NoCPMCache: s.NoCPMCache, NoWarmStart: s.NoWarmStart}
+	if s.Fault != fault.None {
+		h.Fault = fault.New(s.Fault, s.FaultNth)
 	}
-	return opt
+	return h
 }
 
 // Outcome bundles a run's result with its per-iteration evaluation
@@ -108,15 +92,15 @@ func fold(h, v uint64) uint64 {
 // state inconsistent — is recovered into Outcome.Err; for fault-seeded
 // runs the campaign counts that as a detection.
 func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
-	opt := spec.Options()
-	out.Plan = opt.Fault
+	hooks := spec.hooks()
+	out.Plan = hooks.Fault
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if spec.CancelAfter > 0 {
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+	hooks.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 		h := fold(fold(fnvOffset, uint64(iter)), uint64(chosen.Node))
 		h = fold(h, math.Float64bits(chosen.Best.Err))
 		h = fold(h, uint64(chosen.Best.NewLit))
@@ -134,7 +118,7 @@ func ExecuteTraced(g *aig.Graph, spec RunSpec) (out Outcome) {
 			out.Err = fmt.Errorf("oracle: engine panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	out.Result, out.Err = core.RunContext(ctx, g, opt)
+	out.Result, out.Err = core.RunContext(ctx, g, spec.options(), hooks)
 	return out
 }
 
@@ -196,12 +180,11 @@ func Verify(orig *aig.Graph, spec RunSpec, res *core.Result) []Violation {
 			res.Graph.NumPIs(), res.Graph.NumPOs(), orig.NumPIs(), orig.NumPOs())})
 		return out // every later check needs matching interfaces
 	}
-	opt := spec.Options()
-	simOpt, err := core.SimOptions(orig, opt)
-	if err != nil {
+	opt := spec.options()
+	if err := opt.Validate(orig.NumPIs(), orig.NumPOs()); err != nil {
 		return append(out, Violation{Check: "sim-options", Detail: err.Error()})
 	}
-	recomputed, err := SampledError(orig, res.Graph, spec.Metric, opt.Weights, simOpt)
+	recomputed, err := SampledError(orig, res.Graph, spec.Metric, opt.Weights, core.SimOptions(orig, opt))
 	if err != nil {
 		return append(out, Violation{Check: "recompute", Detail: err.Error()})
 	}

@@ -64,8 +64,8 @@ func faultPredicate(spec RunSpec) Predicate {
 // small repro (≤ 32 AND nodes) on which the failure still reproduces.
 func TestShrinkSeededFailure(t *testing.T) {
 	g := gen.Random(11, 10, 8, 90)
-	base := RunSpec{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10,
-		Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30}
+	base := RunSpec{Options: core.Options{Flow: core.FlowConventional, Metric: metric.MED, Threshold: 10,
+		Patterns: 256, Seed: 3, Threads: 1, MaxIters: 30}}
 	det, nth := ScanFault(g, base, fault.FlipSimBit, 25)
 	if !det.Detected {
 		t.Fatalf("flip-sim-bit not detectable on the shrink testbed")
@@ -98,8 +98,8 @@ func TestShrinkSeededFailure(t *testing.T) {
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Random(3, 8, 6, 60)
-	spec := RunSpec{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6,
-		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30}
+	spec := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6,
+		Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30}}
 	det, nth := ScanFault(g, spec, fault.MisreportError, 5)
 	if !det.Detected {
 		t.Fatal("misreport-error not detectable")

@@ -28,14 +28,14 @@ func wceSuite(t *testing.T) []gen.Benchmark {
 
 func wceRunSpec(bound uint64) RunSpec {
 	return RunSpec{
-		Flow:      core.FlowDP,
-		Metric:    metric.WCE,
-		WCEBound:  bound,
-		Threshold: float64(bound),
-		Patterns:  512,
-		Seed:      1,
-		Threads:   1,
-		MaxIters:  20,
+		Options: core.Options{Flow: core.FlowDP,
+			Metric:    metric.WCE,
+			WCEBound:  bound,
+			Threshold: float64(bound),
+			Patterns:  512,
+			Seed:      1,
+			Threads:   1,
+			MaxIters:  20},
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"dpals/internal/core"
 	"dpals/internal/gen"
 	"dpals/internal/lac"
@@ -36,17 +37,17 @@ func Fig4(cfg Config) []Fig4Row {
 	var rows []Fig4Row
 	for _, b := range suite {
 		thr := thresholds(metric.MSE, b.Graph.NumPOs())[2] // generous: need 61 iterations
-		opt := core.DefaultOptions(core.FlowConventional, metric.MSE, thr)
-		opt.Patterns = cfg.patterns()
-		opt.Seed = cfg.seed()
-		opt.Threads = cfg.threads()
-		opt.LACs = lac.Options{Constants: true, SASIMI: true}
-		opt.MaxIters = 61
+		opt := core.Options{
+			Flow: core.FlowConventional, Metric: metric.MSE, Threshold: thr,
+			Patterns: cfg.patterns(), Seed: cfg.seed(), Threads: cfg.threads(),
+			UseConstLACs: true, UseSASIMILACs: true,
+			MaxIters: 61,
+		}
 
 		inSet := map[int32]bool{}
 		hits := 0
 		row := Fig4Row{Circuit: b.PaperName}
-		opt.OnIteration = func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
+		onIter := func(iter int, chosen lac.NodeBest, bests []lac.NodeBest) {
 			if iter == 1 {
 				for _, nb := range bests {
 					if nb.Node == chosen.Node {
@@ -68,7 +69,7 @@ func Fig4(cfg Config) []Fig4Row {
 				row.Rate[k/10-1] = float64(hits) / float64(k)
 			}
 		}
-		if _, err := core.Run(b.Graph, opt); err != nil {
+		if _, err := core.RunContext(context.Background(), b.Graph, opt, core.Hooks{OnIteration: onIter}); err != nil {
 			panic("repro fig4: " + err.Error())
 		}
 		// Fill trailing entries when the flow stopped early: carry the

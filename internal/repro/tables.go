@@ -5,7 +5,6 @@ import (
 
 	"dpals/internal/core"
 	"dpals/internal/gen"
-	"dpals/internal/lac"
 	"dpals/internal/metric"
 	"dpals/internal/techmap"
 )
@@ -58,10 +57,8 @@ func TableII(cfg Config, small bool) []TableIIRow {
 	var sumADP [4]float64
 	var sumRT [4]time.Duration
 	for _, b := range suite {
-		lacs := lac.Options{Constants: true}
 		var thrs []float64
 		if small {
-			lacs.SASIMI = true
 			thrs = thresholds(metric.MSE, b.Graph.NumPOs())
 		} else {
 			thrs = thresholds(metric.MSE, b.Graph.NumPOs())[1:2] // median
@@ -81,7 +78,7 @@ func TableII(cfg Config, small bool) []TableIIRow {
 			{core.FlowDPSA, 0},
 		}
 		for i, r := range runs {
-			row.ADP[i], row.Runtime[i] = avgOver(b, r.flow, metric.MSE, thrs, lacs, cfg, r.depth)
+			row.ADP[i], row.Runtime[i] = avgOver(b, r.flow, metric.MSE, thrs, small, cfg, r.depth)
 			sumADP[i] += row.ADP[i]
 			sumRT[i] += row.Runtime[i]
 		}
@@ -130,10 +127,6 @@ func TableIII(cfg Config) []TableIIIRow {
 	var rows []TableIIIRow
 	var sum TableIIIRow
 	for _, b := range suite {
-		lacs := lac.Options{Constants: true}
-		if b.Small {
-			lacs.SASIMI = true
-		}
 		row := TableIIIRow{Circuit: b.PaperName}
 		for mi, kind := range []metric.Kind{metric.ER, metric.MED} {
 			thrs := thresholds(kind, b.Graph.NumPOs())
@@ -145,7 +138,7 @@ func TableIII(cfg Config) []TableIIIRow {
 				thrs = thrs[len(thrs)/2 : len(thrs)/2+1]
 			}
 			for fi, flow := range []core.Flow{core.FlowAccALS, core.FlowDPSA} {
-				adp, rt := avgOver(b, flow, kind, thrs, lacs, cfg, 0)
+				adp, rt := avgOver(b, flow, kind, thrs, b.Small, cfg, 0)
 				if mi == 0 {
 					row.ADPER[fi], row.RTER[fi] = adp, rt
 				} else {

@@ -163,29 +163,6 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 	if err != nil {
 		return nil, dpals.Options{}, err
 	}
-	if req.Threshold < 0 || math.IsNaN(req.Threshold) || math.IsInf(req.Threshold, 0) {
-		return nil, dpals.Options{}, fmt.Errorf("threshold %v out of range (want a finite value ≥ 0)", req.Threshold)
-	}
-	if req.Weights != nil && len(req.Weights) != c.NumOutputs() {
-		return nil, dpals.Options{}, fmt.Errorf("%d weights for a %d-output circuit", len(req.Weights), c.NumOutputs())
-	}
-	if req.Exhaustive && c.NumInputs() > 24 {
-		return nil, dpals.Options{}, fmt.Errorf("exhaustive simulation limited to 24 inputs, circuit has %d", c.NumInputs())
-	}
-	if metric == dpals.WCE {
-		if req.Weights != nil {
-			return nil, dpals.Options{}, fmt.Errorf("metric wce uses the unsigned LSB-first output interpretation; weights must be omitted")
-		}
-		if c.NumOutputs() > 62 {
-			return nil, dpals.Options{}, fmt.Errorf("metric wce limited to 62 outputs, circuit has %d", c.NumOutputs())
-		}
-		if req.CertConflictLimit < 1 {
-			return nil, dpals.Options{}, fmt.Errorf("metric wce requires cert_conflict_limit ≥ 1: an uncapped SAT certification call cannot be cancelled, so the job could overrun its deadline unboundedly")
-		}
-	} else if req.WCEBound != 0 {
-		return nil, dpals.Options{}, fmt.Errorf("wce_bound requires metric wce")
-	}
-
 	opt := dpals.Options{
 		Flow:               flow,
 		Metric:             metric,
@@ -206,6 +183,17 @@ func parseJob(req *JobRequest) (*dpals.Circuit, dpals.Options, error) {
 		N:                  req.N,
 		MaxIters:           req.MaxIters,
 		TimeLimit:          time.Duration(req.TimeLimitMS) * time.Millisecond,
+	}
+	if err := opt.Validate(c.NumInputs(), c.NumOutputs()); err != nil {
+		return nil, dpals.Options{}, err
+	}
+	// alsd's own rules on top of the library's: a finite threshold and a
+	// capped SAT certification budget for WCE jobs.
+	if math.IsNaN(req.Threshold) || math.IsInf(req.Threshold, 0) {
+		return nil, dpals.Options{}, fmt.Errorf("threshold %v out of range (want a finite value ≥ 0)", req.Threshold)
+	}
+	if metric == dpals.WCE && req.CertConflictLimit < 1 {
+		return nil, dpals.Options{}, fmt.Errorf("metric wce requires cert_conflict_limit ≥ 1: an uncapped SAT certification call cannot be cancelled, so the job could overrun its deadline unboundedly")
 	}
 	return c, opt, nil
 }

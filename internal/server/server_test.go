@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dpals"
+	"dpals/internal/aig"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -299,6 +300,21 @@ func TestServerGracefulDrainReturnsBestSoFar(t *testing.T) {
 	}
 }
 
+// wideCircuit returns a one-AND circuit with the given numbers of inputs
+// and outputs, every output driven by the AND of the first two inputs.
+func wideCircuit(inputs, outputs int) *dpals.Circuit {
+	g := aig.New("wide")
+	var pis []aig.Lit
+	for i := 0; i < inputs; i++ {
+		pis = append(pis, g.AddPI(fmt.Sprintf("i%d", i)))
+	}
+	x := g.And(pis[0], pis[1])
+	for o := 0; o < outputs; o++ {
+		g.AddPO(x, fmt.Sprintf("o%d", o))
+	}
+	return dpals.FromGraph(g)
+}
+
 // Malformed submissions fail fast with client errors, not worker time.
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -308,6 +324,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "flow": "nope"},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "metric": "nope"},
 		{"circuit": circuitAIGER(t, dpals.NewAdder(3)), "threshold": 0.05, "weights": []float64{1}},
+		{"circuit": circuitAIGER(t, wideCircuit(25, 1)), "threshold": 0.05, "exhaustive": true},
+		{"circuit": circuitAIGER(t, wideCircuit(2, 63)), "metric": "wce", "wce_bound": 4, "cert_conflict_limit": 1000},
 	}
 	for i, body := range cases {
 		if code, _ := submit(t, ts, body); code != http.StatusBadRequest {
