@@ -118,33 +118,6 @@ func reportTableII(b *testing.B, rows []repro.TableIIRow) {
 	}
 }
 
-// BenchmarkAblationCutUpdate isolates §III-B: incremental disjoint-cut
-// repair vs full recomputation over a sequence of LACs. The reported
-// speedup_x is fresh/incremental time.
-func BenchmarkAblationCutUpdate(b *testing.B) {
-	g := gen.MultU(10, 10)
-	for i := 0; i < b.N; i++ {
-		inc, fresh, avgSv := repro.AblationCutUpdate(g, 20, 1)
-		if inc > 0 {
-			b.ReportMetric(float64(fresh)/float64(inc), "speedup_x")
-		}
-		b.ReportMetric(avgSv, "avg_Sv_nodes")
-	}
-}
-
-// BenchmarkAblationPartialCPM isolates §III-C: the partial CPM over
-// N(S_cand) for M=60 vs the full CPM.
-func BenchmarkAblationPartialCPM(b *testing.B) {
-	g := gen.MultU(10, 10)
-	for i := 0; i < b.N; i++ {
-		partial, full, closure := repro.AblationPartialCPM(g, 60, 2048, 1)
-		if partial > 0 {
-			b.ReportMetric(float64(full)/float64(partial), "speedup_x")
-		}
-		b.ReportMetric(float64(closure), "closure_nodes")
-	}
-}
-
 // BenchmarkAblationMSweep quantifies the candidate-set-size trade-off
 // behind the §III-D self-adaption: DP runtime at M=15 vs M=120.
 func BenchmarkAblationMSweep(b *testing.B) {

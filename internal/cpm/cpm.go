@@ -19,6 +19,7 @@ package cpm
 
 import (
 	"context"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -123,7 +124,7 @@ type regionSimulator struct {
 	g     *aig.Graph
 	s     *sim.Sim
 	words int
-	pos   []int32 // topo position per var (for sorting regions)
+	pos   []int32 // topo position per var, filled from g.Topo() by the owner
 
 	inRegion []uint32
 	epoch    uint32
@@ -132,14 +133,35 @@ type regionSimulator struct {
 	region   []int32
 	stack    []int32    // region-collection DFS scratch
 	local    bitvec.Vec // scratch for one element-local diff at a time
+	order    []uint64   // orderRegion's topo-position bitmap; all zero between calls
 }
 
-// sort.Interface over rs.region by topological position, so propagate can
-// sort with zero allocations (sort.Slice allocates its closure per call).
-func (rs *regionSimulator) Len() int           { return len(rs.region) }
-func (rs *regionSimulator) Less(i, j int) bool { return rs.pos[rs.region[i]] < rs.pos[rs.region[j]] }
-func (rs *regionSimulator) Swap(i, j int) {
-	rs.region[i], rs.region[j] = rs.region[j], rs.region[i]
+// orderRegion puts rs.region in ascending topological position without a
+// comparison sort: it sets each node's position in a bitmap, then walks the
+// words between the lowest and highest position, mapping set bits back to
+// nodes through g.Topo() — the slice rs.pos was filled from — and clearing
+// each word as it is read. The topo slice is read live, never copied: a
+// structural edit replaces it, and the owner refreshes rs.pos from the new
+// one before the next build. Every region node reaches a PO (the pipeline
+// runs on swept graphs, and ReplaceWithLit removes the cone it leaves
+// dangling), so every one has a distinct position in g.Topo().
+func (rs *regionSimulator) orderRegion() {
+	topo := rs.g.Topo()
+	lo, hi := int32(len(topo)), int32(-1)
+	for _, v := range rs.region {
+		p := rs.pos[v]
+		rs.order[p>>6] |= 1 << uint(p&63)
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	k := 0
+	for wi := lo >> 6; wi <= hi>>6; wi++ {
+		w := rs.order[wi]
+		rs.order[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			rs.region[k] = topo[int(wi)<<6+bits.TrailingZeros64(w)]
+			k++
+		}
+	}
 }
 
 // localDiff returns the worker-private scratch vector used to hold the
@@ -171,6 +193,7 @@ func newRegionSimulator(g *aig.Graph, s *sim.Sim, pos []int32) *regionSimulator 
 		inRegion: make([]uint32, g.NumVars()),
 		arena:    bitvec.NewArena(s.Words()),
 		scratch:  make([]bitvec.Vec, g.NumVars()),
+		order:    make([]uint64, bitvec.Words(g.NumVars())),
 	}
 }
 
@@ -258,7 +281,7 @@ func (rs *regionSimulator) collectDepth(n int32, l int, depth map[int32]int) (fr
 // propagate flips node n and simulates the collected region in topological
 // order. After the call flipVal returns in-region values.
 func (rs *regionSimulator) propagate(n int32) {
-	sort.Sort(rs) // rs.region by topo position; see the sort.Interface methods
+	rs.orderRegion()
 	g := rs.g
 	sn := rs.ensureScratch(n)
 	sn.Not(rs.s.Val(n))

@@ -2,14 +2,14 @@
 // error rate (ER), mean squared error (MSE) and mean error distance (MED) —
 // over a set of simulated input patterns.
 //
-// A State tracks, per pattern, the deviation of the current approximate
-// circuit from the exact reference: a signed numeric deviation for MSE/MED
-// and a PO-mismatch count for ER. Candidate LACs are evaluated without
-// touching the circuit: given the LAC's value-change mask D and the
-// target's CPM row, the new error is folded from only the flipped
-// (pattern, PO) pairs, which makes a single-LAC estimate exact with respect
-// to the sampled patterns — the property the dual-phase framework relies
-// on (papers [19], [20]).
+// A State tracks the deviation of the current approximate circuit from the
+// exact reference: a signed numeric deviation per pattern for the numeric
+// metrics, and per-PO mismatch bit planes for ER and MSE. Candidate LACs
+// are evaluated without touching the circuit: given the LAC's value-change
+// mask D and the target's CPM row, the new error is computed from only the
+// flipped (pattern, PO) pairs, which makes a single-LAC estimate exact with
+// respect to the sampled patterns — the property the dual-phase framework
+// relies on (papers [19], [20]).
 package metric
 
 import (
@@ -129,12 +129,22 @@ type State struct {
 	exact []bitvec.Vec // reference PO words
 	cur   []bitvec.Vec // current approximate PO words
 
-	dev  []float64 // per pattern: approx − exact (MSE/MED)
-	mism []int32   // per pattern: number of mismatching POs (ER/MHD)
+	// planes caches, word-major (planes[wi*numPOs+q]), the deviation plane
+	// of every PO: the patterns where its current bit differs from the
+	// reference, and for MSE the subset whose deviation term is negative.
+	// CommitPO keeps it current. It is set for ER, and for MSE when the
+	// weights admit the integer kernel (see mseKernel), the two metrics
+	// scored word-parallel.
+	planes []plane
+	absW   []int64  // MSE kernel: |w| per PO
+	negW   []uint64 // MSE kernel: all-ones for a negative weight, else zero
+	devSq  []int64  // MSE kernel: Σ dev² over each word's patterns
+
+	dev []float64 // per pattern: approx − exact (numeric metrics)
 
 	errSum   float64 // MSE: Σ dev²; MED: Σ |dev|
 	errCount int     // ER: patterns with ≥1 mismatching PO
-	mismSum  int64   // MHD: Σ mism
+	mismSum  int64   // MHD: mismatching (pattern, PO) pairs
 
 	// wceMax caches max |dev| over all patterns for WCE. CommitPO keeps it
 	// current (rescanning when a pattern at the max shrinks), so Error stays
@@ -145,25 +155,73 @@ type State struct {
 	def *Evaluator // lazily created default evaluator for EvalLAC
 }
 
+// plane is a signed bit plane over the 64 patterns of one word: every
+// pattern in bits contributes +w, except those also in neg, which
+// contribute −w. Flips and deviations of one PO are both such planes, with
+// w = |weight|.
+type plane struct {
+	bits, neg uint64
+	w         int64
+}
+
+// dot returns Σ sign_s(i)·sign_t(i) over the patterns of both planes,
+// where sign is −1 on neg and +1 elsewhere: the patterns they share, minus
+// twice those on which exactly one is negative.
+func dot(s, t plane) int64 {
+	both := s.bits & t.bits
+	return int64(bits.OnesCount64(both) - 2*bits.OnesCount64(both&(s.neg^t.neg)))
+}
+
+// mseKernel reports whether MSE may be scored by the integer kernel: every
+// weight is an integer, Σ|w| ≤ 2^26 and patterns·(Σ|w|)² ≤ 2^60. Every
+// per-pattern deviation is then an integer of magnitude at most Σ|w|, its
+// square is exact in float64, and every sum the kernel forms fits an
+// int64. Whether a particular score is bit-identical to the per-pattern
+// float fold is decided per candidate (evalMSE).
+func mseKernel(w Weights, patterns int) bool {
+	s := 0.0
+	for _, x := range w {
+		if x != math.Trunc(x) { // also rejects NaN and ±Inf
+			return false
+		}
+		s += math.Abs(x)
+	}
+	if s > 1<<26 {
+		return false
+	}
+	hi, lo := bits.Mul64(uint64(patterns), uint64(s*s))
+	return hi == 0 && lo <= 1<<60
+}
+
 // Evaluator holds per-worker scratch for candidate evaluation. Multiple
 // evaluators over one State may run concurrently as long as the State is
 // not mutated (no CommitPO) during evaluation.
 type Evaluator struct {
-	st      *State
+	st *State
+
+	// Word-parallel kernels: per-word scratch sized by the PO count.
+	flips []plane  // MSE: the row's non-empty flip planes of one word
+	devs  []plane  // MSE: the word's non-empty deviation planes
+	rowF  []uint64 // ER: the row's flips of one word, indexed by PO
+
+	// Per-pattern scan (MED, WCE, and MSE where the kernel does not apply),
+	// allocated on first use.
 	delta   []float64
-	dMism   []int32
 	touched []int32
 	onStack []bool
 }
 
 // NewEvaluator returns an independent evaluation scratch for this state.
 func (st *State) NewEvaluator() *Evaluator {
-	return &Evaluator{
-		st:      st,
-		delta:   make([]float64, st.patterns),
-		dMism:   make([]int32, st.patterns),
-		onStack: make([]bool, st.patterns),
+	ev := &Evaluator{st: st}
+	switch {
+	case st.kind == ER:
+		ev.rowF = make([]uint64, len(st.cur))
+	case st.kind == MSE && st.planes != nil:
+		ev.flips = make([]plane, 0, len(st.cur))
+		ev.devs = make([]plane, 0, len(st.cur))
 	}
+	return ev
 }
 
 // NewState builds the tracking state. exact are the reference PO value
@@ -184,12 +242,31 @@ func NewState(kind Kind, exact []bitvec.Vec, weights Weights, patterns int) *Sta
 		words:    words,
 		exact:    make([]bitvec.Vec, len(exact)),
 		cur:      make([]bitvec.Vec, len(exact)),
-		dev:      make([]float64, patterns),
-		mism:     make([]int32, patterns),
 	}
 	for i, e := range exact {
 		st.exact[i] = e.Clone()
 		st.cur[i] = e.Clone()
+	}
+	if kind.Numeric() {
+		st.dev = make([]float64, patterns)
+	}
+	if kind == ER || kind == MSE && mseKernel(weights, patterns) {
+		// The approximation starts exact, so every plane starts empty.
+		st.planes = make([]plane, words*len(exact))
+	}
+	if kind == MSE && st.planes != nil {
+		st.devSq = make([]int64, words)
+		st.absW = make([]int64, len(weights))
+		st.negW = make([]uint64, len(weights))
+		for q, w := range weights {
+			st.absW[q] = int64(math.Abs(w))
+			if w < 0 {
+				st.negW[q] = ^uint64(0)
+			}
+			for wi := 0; wi < words; wi++ {
+				st.planes[wi*len(exact)+q].w = st.absW[q]
+			}
+		}
 	}
 	return st
 }
@@ -215,15 +292,6 @@ func (st *State) Error() float64 {
 	default:
 		return st.errSum / x
 	}
-}
-
-// flipDelta returns the deviation delta caused by flipping PO o in a
-// pattern whose current bit value is curBit.
-func (st *State) flipDelta(o int, curBit bool) float64 {
-	if curBit {
-		return -st.weights[o]
-	}
-	return st.weights[o]
 }
 
 // EvalLAC returns the error the circuit would have after a LAC whose target
@@ -254,69 +322,53 @@ func (ev *Evaluator) EvalLACXor(a, b bitvec.Vec, inv uint64, row *cpm.Row) float
 	return ev.evalFlips(a, b, inv, row)
 }
 
+// flipWord returns word wi of the value-change mask a⊕b⊕inv (nil b = zero).
+func flipWord(a, b bitvec.Vec, inv uint64, wi int) uint64 {
+	m := a[wi] ^ inv
+	if b != nil {
+		m ^= b[wi]
+	}
+	return m
+}
+
 // evalFlips scores the LAC whose value-change mask is a⊕b⊕inv (nil b = zero
-// vector). The per-bit scan visits rows in PO order, words ascending, bits
-// ascending — the float fold over ev.touched below inherits that insertion
-// order, which is what keeps results bit-identical across thread counts.
-// The inner loops are specialised per metric kind (the fused "diff-score"
-// half of the resimulate→diff→popcount pipeline): MHD folds whole words
-// with popcounts and never touches per-pattern scratch, ER counts mismatch
-// deltas, MSE/MED accumulate weighted deviations.
+// vector). A score depends only on the state, the mask and the row, never
+// on which worker computes it, which is what keeps results bit-identical
+// across thread counts:
+//
+//   - ER, MHD and MSE are scored word-parallel with popcounts in integer
+//     arithmetic — see evalER, evalMHD and evalMSE. The integers are
+//     exact, so the result is the same float64 however the sums are
+//     grouped; evalMSE declines a candidate whose score it cannot prove
+//     equal to the scan's.
+//   - MED, WCE and MSE otherwise scan the flipped bits (scanDelta)
+//     and fold the touched patterns once. Each per-pattern delta is a sum
+//     of ±w over one pattern's flipped POs, added in row order, and the
+//     fold visits patterns in first-touch order; both orders are fixed by
+//     the row and the mask.
 func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
 	st := ev.st
-	x := float64(st.patterns)
-	if st.kind == MHD {
-		// Mean Hamming distance is linear in the per-(pattern, PO) flips:
-		// a flip on an agreeing bit adds one mismatch, on a disagreeing
-		// bit removes one. Both counts come from word-level popcounts, so
-		// the whole evaluation is branch-free per word and exact.
-		sum := st.mismSum
-		for ri, o := range row.POs {
-			p := row.Diffs[ri]
-			curW, exW := st.cur[o], st.exact[o]
-			plus, minus := 0, 0
-			for wi := 0; wi < len(a); wi++ {
-				w := a[wi]
-				if b != nil {
-					w ^= b[wi]
-				}
-				w = (w ^ inv) & p[wi]
-				if w == 0 {
-					continue
-				}
-				agree := ^(curW[wi] ^ exW[wi])
-				plus += bits.OnesCount64(w & agree)
-				minus += bits.OnesCount64(w &^ agree)
-			}
-			sum += int64(plus - minus)
+	switch {
+	case st.kind == ER:
+		return ev.evalER(a, b, inv, row)
+	case st.kind == MHD:
+		return ev.evalMHD(a, b, inv, row)
+	case st.kind == MSE && st.planes != nil:
+		if e, ok := ev.evalMSE(a, b, inv, row); ok {
+			return e
 		}
-		return float64(sum) / x
+	}
+	if ev.delta == nil {
+		ev.delta = make([]float64, st.patterns)
+		ev.onStack = make([]bool, st.patterns)
 	}
 	ev.touched = ev.touched[:0]
-	numeric := st.kind.Numeric()
 	for ri, o := range row.POs {
-		p := row.Diffs[ri]
-		if numeric {
-			ev.scanDelta(a, b, p, st.cur[o], inv, st.weights[o])
-		} else {
-			ev.scanMism(a, b, p, st.cur[o], st.exact[o], inv)
-		}
+		ev.scanDelta(a, b, row.Diffs[ri], st.cur[o], inv, st.weights[o])
 	}
-	// Fold.
 	var out float64
+	x := float64(st.patterns)
 	switch st.kind {
-	case ER:
-		cnt := st.errCount
-		for _, i := range ev.touched {
-			was := st.mism[i] > 0
-			now := st.mism[i]+ev.dMism[i] > 0
-			if was && !now {
-				cnt--
-			} else if !was && now {
-				cnt++
-			}
-		}
-		out = float64(cnt) / x
 	case MSE:
 		sum := st.errSum
 		for _, i := range ev.touched {
@@ -341,66 +393,151 @@ func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float6
 			}
 		}
 	}
-	// Reset scratch.
 	for _, i := range ev.touched {
 		ev.onStack[i] = false
-		if numeric {
-			ev.delta[i] = 0
-		} else {
-			ev.dMism[i] = 0
-		}
+		ev.delta[i] = 0
 	}
 	ev.touched = ev.touched[:0]
 	return out
 }
 
-// scanMism is the ER inner loop: record the mismatch-count delta of every
-// flipped (pattern, PO) bit.
-func (ev *Evaluator) scanMism(a, b, p, curW, exW bitvec.Vec, inv uint64) {
-	for wi := 0; wi < len(a); wi++ {
-		w := a[wi]
-		if b != nil {
-			w ^= b[wi]
-		}
-		w = (w ^ inv) & p[wi]
-		if w == 0 {
-			continue
-		}
-		base := wi << 6
-		agree := ^(curW[wi] ^ exW[wi])
-		for w != 0 {
-			bit := trailing(w)
-			i := base + bit
-			if !ev.onStack[i] {
-				ev.onStack[i] = true
-				ev.touched = append(ev.touched, int32(i))
+// evalMHD scores mean Hamming distance, which is linear in the per-(pattern,
+// PO) flips: a flip on an agreeing bit adds one mismatch, on a disagreeing
+// bit removes one. Both counts are word-level popcounts.
+func (ev *Evaluator) evalMHD(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
+	st := ev.st
+	sum := st.mismSum
+	for ri, o := range row.POs {
+		p := row.Diffs[ri]
+		curW, exW := st.cur[o], st.exact[o]
+		for wi := range a {
+			f := flipWord(a, b, inv, wi) & p[wi]
+			if f == 0 {
+				continue
 			}
-			if agree>>uint(bit)&1 != 0 {
-				ev.dMism[i]++
-			} else {
-				ev.dMism[i]--
-			}
-			w &= w - 1
+			agree := ^(curW[wi] ^ exW[wi])
+			sum += int64(bits.OnesCount64(f&agree) - bits.OnesCount64(f&^agree))
 		}
 	}
+	return float64(sum) / float64(st.patterns)
 }
 
-// scanDelta is the MSE/MED inner loop: accumulate the signed deviation
-// delta (±wo per flip, sign from the current bit) of every flipped bit.
-func (ev *Evaluator) scanDelta(a, b, p, curW bitvec.Vec, inv uint64, wo float64) {
-	for wi := 0; wi < len(a); wi++ {
-		w := a[wi]
-		if b != nil {
-			w ^= b[wi]
+// evalER scores error rate by counting wrong patterns a word at a time.
+// With f_o the row's flips of PO o (zero for POs outside the row), the
+// patterns wrong after the LAC are ⋁_q (x_q ⊕ f_q), where x_q is PO q's
+// deviation plane; the count moves by the popcount difference between
+// that mask and the current ⋁_q x_q, on every word the row flips.
+func (ev *Evaluator) evalER(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
+	st := ev.st
+	k := len(st.cur)
+	cnt := st.errCount
+	for wi := range a {
+		m := flipWord(a, b, inv, wi)
+		if m == 0 {
+			continue
 		}
-		w = (w ^ inv) & p[wi]
+		var u uint64
+		for ri, o := range row.POs {
+			f := m & row.Diffs[ri][wi]
+			ev.rowF[o] = f
+			u |= f
+		}
+		if u == 0 {
+			continue
+		}
+		var was, now uint64
+		for q, pl := range st.planes[wi*k : wi*k+k] {
+			was |= pl.bits
+			now |= pl.bits ^ ev.rowF[q]
+		}
+		cnt += bits.OnesCount64(now) - bits.OnesCount64(was)
+	}
+	for _, o := range row.POs {
+		ev.rowF[o] = 0
+	}
+	return float64(cnt) / float64(st.patterns)
+}
+
+// evalMSE scores mean squared error as a popcount quadratic form. Per
+// word, the deviation change of pattern i is Δ_i = Σ_o |w_o|·s_o(i) over
+// the row's flip planes s_o, and the current deviation is dev_i =
+// Σ_q |w_q|·t_q(i) over the cached deviation planes t_q. The new error sum
+// is Σ (dev_i + Δ_i)² = errSum + Σ Δ_i² + 2·Σ dev_i·Δ_i, with
+//
+//	Σ Δ_i²       = Σ_{o,o'} |w_o||w_o'|·⟨s_o, s_o'⟩
+//	Σ dev_i·Δ_i  = Σ_{o,q}  |w_o||w_q|·⟨s_o, t_q⟩
+//
+// and each ⟨·,·⟩ a pair of popcounts (dot).
+//
+// The scan's fold adds nd_i² − dev_i² (nd_i = dev_i + Δ_i) to errSum over
+// the touched patterns U, one at a time. Those terms are exact integers
+// (mseKernel), so the fold is exact — and equal to this integer result
+// whatever its order — as long as every partial sum stays within 2^53.
+// Each lies within |errSum| + Σ_U dev² + Σ_U nd² = |errSum| + 2·Σ_U dev² + d,
+// where d = Σ_U (nd² − dev²) is the change computed here and Σ_U dev² is
+// bounded by the cached Σ dev² of the words U touches. When that bound
+// exceeds 2^53 evalMSE returns ok = false and the caller scans instead.
+func (ev *Evaluator) evalMSE(a, b bitvec.Vec, inv uint64, row *cpm.Row) (e float64, ok bool) {
+	st := ev.st
+	k := len(st.cur)
+	var sq, cross, touchedSq int64 // Σ Δ², Σ dev·Δ, Σ dev² over touched words
+	for wi := range a {
+		m := flipWord(a, b, inv, wi)
+		if m == 0 {
+			continue
+		}
+		fs := ev.flips[:0]
+		for ri, o := range row.POs {
+			if f := m & row.Diffs[ri][wi]; f != 0 {
+				// A flip lowers the value by |w| where the current bit is
+				// 1 under a positive weight, or 0 under a negative one.
+				fs = append(fs, plane{bits: f, neg: f & (st.cur[o][wi] ^ st.negW[o]), w: st.absW[o]})
+			}
+		}
+		if len(fs) == 0 {
+			continue
+		}
+		touchedSq += st.devSq[wi]
+		ds := ev.devs[:0]
+		for _, pl := range st.planes[wi*k : wi*k+k] {
+			if pl.bits != 0 {
+				ds = append(ds, pl)
+			}
+		}
+		for j, s := range fs {
+			var pair, c int64
+			for _, s2 := range fs[j+1:] {
+				pair += s2.w * dot(s, s2)
+			}
+			for _, t := range ds {
+				c += t.w * dot(s, t)
+			}
+			sq += s.w * (s.w*int64(bits.OnesCount64(s.bits)) + 2*pair)
+			cross += s.w * c
+		}
+	}
+	d := sq + 2*cross
+	cur := int64(st.errSum) // an integer-valued float below 2^61 (mseKernel)
+	if max(cur, -cur)+2*touchedSq+d > 1<<53 {
+		return 0, false
+	}
+	return float64(cur+d) / float64(st.patterns), true
+}
+
+// scanDelta is the per-pattern inner loop of MED, WCE and the MSE scores
+// evalMSE declines: accumulate the signed deviation delta (±wo per flip,
+// sign from the current bit) of every flipped bit into ev.delta, recording
+// each touched pattern once for the fold.
+func (ev *Evaluator) scanDelta(a, b, p, curW bitvec.Vec, inv uint64, wo float64) {
+	for wi := range a {
+		w := flipWord(a, b, inv, wi) & p[wi]
 		if w == 0 {
 			continue
 		}
 		base := wi << 6
 		cw := curW[wi]
 		for w != 0 {
-			bit := trailing(w)
+			bit := bits.TrailingZeros64(w)
 			i := base + bit
 			if !ev.onStack[i] {
 				ev.onStack[i] = true
@@ -416,59 +553,42 @@ func (ev *Evaluator) scanDelta(a, b, p, curW bitvec.Vec, inv uint64, wo float64)
 	}
 }
 
-func trailing(b uint64) int { return bits.TrailingZeros64(b) }
-
 // CommitPO records that PO o's value vector is now newVal, updating the
-// per-pattern state incrementally from the changed bits.
+// tracked error incrementally from the changed words.
 func (st *State) CommitPO(o int, newVal bitvec.Vec) {
 	curW := st.cur[o]
 	exW := st.exact[o]
+	k := len(st.cur)
 	for wi := 0; wi < st.words; wi++ {
 		d := curW[wi] ^ newVal[wi]
 		if d == 0 {
 			continue
 		}
-		base := wi << 6
-		cw, ew := curW[wi], exW[wi]
-		for d != 0 {
-			bit := trailing(d & -d)
-			i := base + bit
-			curBit := cw>>uint(bit)&1 != 0
-			exBit := ew>>uint(bit)&1 != 0
-			if st.kind == ER || st.kind == MHD {
-				was := st.mism[i] > 0
-				if curBit == exBit {
-					st.mism[i]++
-					st.mismSum++
-				} else {
-					st.mism[i]--
-					st.mismSum--
-				}
-				now := st.mism[i] > 0
-				if was && !now {
-					st.errCount--
-				} else if !was && now {
-					st.errCount++
-				}
-			} else {
-				old := st.dev[i]
-				st.dev[i] += st.flipDelta(int(o), curBit)
-				switch st.kind {
-				case MSE:
-					st.errSum += st.dev[i]*st.dev[i] - old*old
-				case WCE:
-					if na := math.Abs(st.dev[i]); na >= st.wceMax {
-						st.wceMax = na
-					} else if math.Abs(old) == st.wceMax {
-						st.wceDirty = true
-					}
-				default:
-					st.errSum += math.Abs(st.dev[i]) - math.Abs(old)
+		oldX, newX := curW[wi]^exW[wi], newVal[wi]^exW[wi]
+		switch st.kind {
+		case ER:
+			var others uint64
+			for q, pl := range st.planes[wi*k : wi*k+k] {
+				if q != o {
+					others |= pl.bits
 				}
 			}
-			d &= d - 1
+			st.errCount += bits.OnesCount64(others|newX) - bits.OnesCount64(others|oldX)
+		case MHD:
+			st.mismSum += int64(bits.OnesCount64(newX) - bits.OnesCount64(oldX))
+		default:
+			st.commitDev(o, wi, d)
 		}
 		curW[wi] = newVal[wi]
+		if st.planes != nil {
+			pl := &st.planes[wi*k+o]
+			pl.bits = newX
+			if st.negW != nil {
+				// A deviation is negative where the current bit is 0
+				// under a positive weight, or 1 under a negative one.
+				pl.neg = newX &^ (newVal[wi] ^ st.negW[o])
+			}
+		}
 	}
 	if st.wceDirty {
 		// A pattern that carried the max shrank; rescan. Done here (not
@@ -482,6 +602,38 @@ func (st *State) CommitPO(o int, newVal bitvec.Vec) {
 			}
 		}
 		st.wceMax = m
+	}
+}
+
+// commitDev applies the flips d of PO o in word wi, whose current value
+// bits are still unchanged, to the per-pattern deviations of a numeric
+// metric.
+func (st *State) commitDev(o, wi int, d uint64) {
+	cw := st.cur[o][wi]
+	for ; d != 0; d &= d - 1 {
+		bit := bits.TrailingZeros64(d)
+		i := wi<<6 + bit
+		old := st.dev[i]
+		if cw>>uint(bit)&1 != 0 {
+			st.dev[i] -= st.weights[o]
+		} else {
+			st.dev[i] += st.weights[o]
+		}
+		switch st.kind {
+		case MSE:
+			st.errSum += st.dev[i]*st.dev[i] - old*old
+			if st.devSq != nil {
+				st.devSq[wi] += int64(st.dev[i]*st.dev[i] - old*old)
+			}
+		case WCE:
+			if na := math.Abs(st.dev[i]); na >= st.wceMax {
+				st.wceMax = na
+			} else if math.Abs(old) == st.wceMax {
+				st.wceDirty = true
+			}
+		default:
+			st.errSum += math.Abs(st.dev[i]) - math.Abs(old)
+		}
 	}
 }
 

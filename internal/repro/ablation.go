@@ -14,12 +14,22 @@ import (
 	"dpals/internal/techmap"
 )
 
+// AblationCost is one side of an ablation comparison: the wall time of the
+// computation and its deterministic work estimate (the word-operation
+// counters DP-SA's self-adaption profiles with), which unlike time is the
+// same on every machine.
+type AblationCost struct {
+	Time time.Duration
+	Work int64
+}
+
 // AblationCutUpdate measures the paper's §III-B claim in isolation: the
 // cost of repairing disjoint cuts incrementally after a LAC versus
-// recomputing them from scratch, averaged over a sequence of constant-LAC
-// replacements on the given circuit. It returns (incremental, fresh) total
-// times and the average |S_v| (nodes actually recomputed).
-func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Duration, avgSv float64) {
+// recomputing them from scratch, summed over a sequence of constant-LAC
+// replacements on the given circuit. It returns the incremental and fresh
+// costs — the growth of cut.Set.Work over UpdateAfter against a fresh
+// NewSet's Work — and the average |S_v| (nodes actually recomputed).
+func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh AblationCost, avgSv float64) {
 	work := g.Sweep()
 	cuts := cut.NewSet(work, 1)
 	svSum := 0
@@ -39,14 +49,17 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 		v := live[int(uint64(i)*2654435761+uint64(seed))%len(live)]
 		cs := work.ReplaceWithLit(v, aig.False)
 
+		w0 := cuts.Work()
 		t0 := time.Now()
 		sv := cuts.UpdateAfter(cs)
-		inc += time.Since(t0)
+		inc.Time += time.Since(t0)
+		inc.Work += cuts.Work() - w0
 		svSum += len(sv)
 
 		t1 := time.Now()
-		cut.NewSet(work, 1)
-		fresh += time.Since(t1)
+		fs := cut.NewSet(work, 1)
+		fresh.Time += time.Since(t1)
+		fresh.Work += fs.Work()
 		done++
 	}
 	if done > 0 {
@@ -58,8 +71,9 @@ func AblationCutUpdate(g *aig.Graph, steps int, seed int64) (inc, fresh time.Dur
 // AblationPartialCPM measures §III-C in isolation: building the CPM
 // restricted to N(S_cand) for a candidate set of size m versus building
 // the full CPM, on one analysis of the given circuit. It returns the two
-// times and the closure size |N(S_cand)|.
-func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial, full time.Duration, closure int) {
+// costs (cpm.Result.Work for the work side) and the closure size
+// |N(S_cand)|.
+func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial, full AblationCost, closure int) {
 	work := g.Sweep()
 	s := sim.New(work, sim.Options{Patterns: patterns, Seed: seed})
 	cuts := cut.NewSet(work, 1)
@@ -78,12 +92,12 @@ func AblationPartialCPM(g *aig.Graph, m int, patterns int, seed int64) (partial,
 	closure = len(cpm.Closure(cuts, targets))
 
 	t0 := time.Now()
-	cpm.BuildDisjoint(work, s, cuts, targets, 1)
-	partial = time.Since(t0)
+	partial.Work = cpm.BuildDisjoint(work, s, cuts, targets, 1).Work
+	partial.Time = time.Since(t0)
 
 	t1 := time.Now()
-	cpm.BuildDisjoint(work, s, cuts, nil, 1)
-	full = time.Since(t1)
+	full.Work = cpm.BuildDisjoint(work, s, cuts, nil, 1).Work
+	full.Time = time.Since(t1)
 	return partial, full, closure
 }
 
