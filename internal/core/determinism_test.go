@@ -13,10 +13,13 @@ import (
 // analysis pipeline: every flow must produce bit-identical results for every
 // Threads value. Threads=8 on a smaller GOMAXPROCS still exercises the
 // concurrent code paths (package par never reduces the worker count to the
-// CPU count), so the comparison is meaningful on any machine.
+// CPU count), so the comparison is meaningful on any machine. The ER
+// cases cover SASIMI generation and the per-worker row binding of ER
+// scoring.
 func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
+	er := func(o *Options) { o.Metric, o.Threshold = metric.ER, 0.05 }
 
 	flows := []struct {
 		name  string
@@ -29,6 +32,8 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 		{"AccALS", FlowAccALS, nil, Hooks{AccTol: 0.5}},
 		{"DP", FlowDP, nil, Hooks{}},
 		{"DP-SA", FlowDPSA, nil, Hooks{}},
+		{"DP/ER", FlowDP, er, Hooks{}},
+		{"DP-SA/ER", FlowDPSA, er, Hooks{}},
 	}
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +56,9 @@ func TestFlowsDeterministicAcrossThreads(t *testing.T) {
 			}
 			serial := run(1)
 			parallel := run(8)
+			if serial.Stats.Applied == 0 {
+				t.Fatal("no LAC applied; the comparison is vacuous")
+			}
 			if serial.Error != parallel.Error {
 				t.Errorf("Error: serial %v, parallel %v", serial.Error, parallel.Error)
 			}

@@ -32,23 +32,27 @@ func aagBytes(t *testing.T, res *Result) []byte {
 // DP-SA's self-adaption tunes from, at every thread count. Small M forces
 // several rounds so the warm path actually runs; SASIMI LACs are enabled so
 // the candidate space includes the fanout-growing substitutions whose cut
-// repairs are the hardest to keep in sync.
+// repairs are the hardest to keep in sync. The ER case scores SASIMI
+// candidates with ER's per-row binding.
 func TestWarmComprehensiveMatchesCold(t *testing.T) {
 	g := gen.MultU(6, 6)
 	R := metric.ReferenceError(g.NumPOs())
 	flows := []struct {
-		name string
-		flow Flow
+		name      string
+		flow      Flow
+		metric    metric.Kind
+		threshold float64
 	}{
-		{"DP", FlowDP},
-		{"DP-SA", FlowDPSA},
+		{"DP", FlowDP, metric.MSE, R * R},
+		{"DP-SA", FlowDPSA, metric.MSE, R * R},
+		{"DP-SA/ER", FlowDPSA, metric.ER, 0.05},
 	}
 	threadCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, threads := range threadCounts {
 				run := func(noWarm bool) *Result {
-					opt := Options{Flow: tc.flow, Metric: metric.MSE, Threshold: R * R}
+					opt := Options{Flow: tc.flow, Metric: tc.metric, Threshold: tc.threshold}
 					opt.Patterns = 1024
 					opt.Seed = 7
 					opt.Threads = threads

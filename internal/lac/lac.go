@@ -13,9 +13,10 @@
 package lac
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"dpals/internal/aig"
@@ -106,10 +107,13 @@ type Generator struct {
 	s   *sim.Sim
 	opt Options
 
-	// popcount-sorted signal index for SASIMI similarity search
-	signals []int32 // PIs and live AND nodes, sorted by sampled popcount
-	pops    []int   // parallel: sampled popcount
-	rank    map[int32]int
+	// SASIMI similarity index: the PIs and live AND nodes in canonical
+	// order, by (sampled popcount, position in the PIs-then-Topo() list).
+	signals []int32 // the indexed signals in canonical order
+	first   []int32 // per popcount p: index of the first signal with popcount ≥ p
+	rank    []int32 // per var: index into signals, −1 if not indexed
+	src     []int32 // Reindex scratch: the signals in PIs-then-Topo() order
+	srcPop  []int32 // Reindex scratch: their sampled popcounts
 
 	// Reused scratch. Candidate generation is serial by contract (it walks
 	// shared graph traversal state), so these need no locking; the
@@ -121,13 +125,21 @@ type Generator struct {
 	tfoMark  []bool              // sasimi: TFO membership of the current target
 	tfoList  []int32             // sasimi: marked nodes, for O(cone) reset
 	tfoStack []int32             // sasimi: DFS stack
-	scored   []scoredCand        // sasimi: similarity-ranked neighbourhood
+	top      []scoredCand        // sasimi: the best distinct neighbours so far
 }
 
+// scoredCand is a SASIMI neighbour of the current target: node at sampled
+// Hamming distance dist, in the polarity (compl) that minimises it.
 type scoredCand struct {
 	node  int32
 	compl bool
 	dist  int
+}
+
+// less is the canonical candidate order: by distance, then node id. The
+// polarity is a function of the node, so this is a total order on nodes.
+func (c scoredCand) less(d scoredCand) bool {
+	return c.dist < d.dist || c.dist == d.dist && c.node < d.node
 }
 
 // NewGenerator builds a generator and its signal index.
@@ -150,41 +162,65 @@ func (gen *Generator) SetMaxPerNode(n int) {
 }
 
 // Reindex rebuilds the similarity index from the current simulation values.
-// Cheap (one popcount per signal); call after every applied LAC or once per
-// iteration.
+// Cheap (one popcount per signal and a counting sort); call after every
+// applied LAC or once per iteration. The order is canonical — by (sampled
+// popcount, position in the PIs-then-Topo() list) — so it depends on no
+// sort implementation. A warmed Reindex allocates nothing.
 func (gen *Generator) Reindex() {
 	if !gen.opt.SASIMI {
 		return
 	}
-	g := gen.g
-	gen.signals = gen.signals[:0]
+	g, s := gen.g, gen.s
+	sw := gen.sampleWords()
+	src := gen.src[:0]
 	for _, v := range g.PIs() {
-		gen.signals = append(gen.signals, v)
+		src = append(src, v)
 	}
 	for _, v := range g.Topo() {
 		if g.IsAnd(v) {
-			gen.signals = append(gen.signals, v)
+			src = append(src, v)
 		}
 	}
-	sw := gen.sampleWords()
-	gen.pops = gen.pops[:0]
-	for _, v := range gen.signals {
-		gen.pops = append(gen.pops, samplePop(gen.s.Val(v), sw))
+	// Counting sort: first[p+1] counts popcount p (at most sw·64), and
+	// the prefix sums turn it into bucket starts.
+	srcPop := resize(gen.srcPop, len(src))
+	first := resize(gen.first, sw*64+2)
+	clear(first)
+	for i, v := range src {
+		p := int32(samplePop(s.Val(v), sw))
+		srcPop[i] = p
+		first[p+1]++
 	}
-	idx := make([]int, len(gen.signals))
-	for i := range idx {
-		idx[i] = i
+	for p := 1; p < len(first); p++ {
+		first[p] += first[p-1]
 	}
-	sort.Slice(idx, func(a, b int) bool { return gen.pops[idx[a]] < gen.pops[idx[b]] })
-	sigs := make([]int32, len(idx))
-	pops := make([]int, len(idx))
-	gen.rank = make(map[int32]int, len(idx))
-	for i, j := range idx {
-		sigs[i] = gen.signals[j]
-		pops[i] = gen.pops[j]
-		gen.rank[sigs[i]] = i
+	// Stable placement with first as the bucket cursors. Each cursor ends
+	// at the next bucket's start, so shift first back by one afterwards.
+	signals := resize(gen.signals, len(src))
+	for i, v := range src {
+		p := srcPop[i]
+		signals[first[p]] = v
+		first[p]++
 	}
-	gen.signals, gen.pops = sigs, pops
+	copy(first[1:], first)
+	first[0] = 0
+	rank := resize(gen.rank, g.NumVars())
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, v := range signals {
+		rank[v] = int32(i)
+	}
+	gen.signals, gen.first, gen.rank = signals, first, rank
+	gen.src, gen.srcPop = src, srcPop
+}
+
+// resize returns b with length n, reallocating only when it lacks capacity.
+func resize(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 func (gen *Generator) sampleWords() int {
@@ -262,9 +298,11 @@ func (gen *Generator) markTFO(v int32) {
 	gen.tfoStack = stack[:0]
 }
 
-// sasimiAppend scans the popcount-sorted neighbourhood of v for the most
+// sasimiAppend scans the popcount-ordered neighbourhood of v for the most
 // similar signals (direct or complemented) outside v's transitive fanout
-// and appends them to out.
+// and appends the MaxPerNode best distinct ones to out, in the canonical
+// order (scoredCand.less). The choice depends only on the set of nodes the
+// windows cover, not on the order they are scanned in.
 func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	g := gen.g
 	s := gen.s
@@ -274,12 +312,12 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 		sampleBits = p
 	}
 
-	r, ok := gen.rank[v]
-	if !ok {
+	if int(v) >= len(gen.rank) || gen.rank[v] < 0 {
 		return out
 	}
+	r := int(gen.rank[v])
 	gen.markTFO(v)
-	cands := gen.scored[:0]
+	gen.top = gen.top[:0]
 	vv := s.Val(v)
 	consider := func(i int) {
 		if i < 0 || i >= len(gen.signals) {
@@ -295,9 +333,9 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 			d += popcount(vv[w] ^ uv[w])
 		}
 		if d <= sampleBits-d {
-			cands = append(cands, scoredCand{u, false, d})
+			gen.offer(scoredCand{u, false, d})
 		} else {
-			cands = append(cands, scoredCand{u, true, sampleBits - d})
+			gen.offer(scoredCand{u, true, sampleBits - d})
 		}
 	}
 	// Same-polarity neighbourhood: similar popcount.
@@ -307,32 +345,39 @@ func (gen *Generator) sasimiAppend(out []LAC, v int32, gain int) []LAC {
 	}
 	// Complemented candidates live near popcount  (sampleBits - pop(v)):
 	// scan that neighbourhood too.
-	cpop := sampleBits - gen.pops[r]
-	ci := sort.SearchInts(gen.pops, cpop)
+	ci := int(gen.first[sampleBits-samplePop(vv, sw)])
 	for off := 0; off <= gen.opt.WindowSize; off++ {
 		consider(ci - off - 1)
 		consider(ci + off)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
-	gen.scored = cands[:0]
-	base := len(out)
-	for _, c := range cands {
-		dup := false
-		for _, prev := range out[base:] { // ≤ MaxPerNode entries: linear dedup
-			if prev.NewLit.Var() == c.node {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
+	for _, c := range gen.top {
 		out = append(out, LAC{Target: v, NewLit: aig.MakeLit(c.node, c.compl), Gain: gain})
-		if len(out)-base >= gen.opt.MaxPerNode {
-			break
-		}
 	}
 	return out
+}
+
+// offer inserts c into gen.top, which holds the MaxPerNode best distinct
+// candidates offered so far in ascending canonical order. Anything not
+// better than a full buffer's last entry is rejected at once; a node the
+// two windows both cover has equal keys and is kept once.
+func (gen *Generator) offer(c scoredCand) {
+	top, k := gen.top, gen.opt.MaxPerNode
+	if len(top) == k && !c.less(top[k-1]) {
+		return
+	}
+	i := len(top)
+	for i > 0 && c.less(top[i-1]) {
+		i--
+	}
+	if i > 0 && top[i-1].node == c.node {
+		return
+	}
+	if len(top) < k {
+		top = append(top, c)
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = c
+	gen.top = top
 }
 
 // Memo carries per-node evaluation results across EvaluateTargetsMemoCtx
@@ -470,11 +515,14 @@ func EvaluateTargetsMemoCtx(ctx context.Context, gen *Generator, res *cpm.Result
 		cl := gen.lacBuf[gen.offs[i][0]:gen.offs[i][1]]
 		nb := NodeBest{Node: v, Best: Eval{Err: -1}}
 		row := res.Row(v)
+		if len(cl) > 0 {
+			ev.BindRow(row) // v's candidates share its row
+		}
 		// One words-wide fused diff–score pass per row entry, per candidate.
 		wk := int64(len(cl)) * int64(len(row.POs)) * int64(gen.s.Words())
 		for _, cand := range cl {
 			tv, nv, inv := cand.DiffOperands(gen.s)
-			e := ev.EvalLACXor(tv, nv, inv, row)
+			e := ev.EvalLACXor(tv, nv, inv)
 			nb.N++
 			if nb.Best.Err < 0 || e < nb.Best.Err ||
 				(e == nb.Best.Err && cand.Gain > nb.Best.Gain) {
@@ -501,14 +549,14 @@ func EvaluateTargetsMemoCtx(ctx context.Context, gen *Generator, res *cpm.Result
 			kept = append(kept, nb)
 		}
 	}
-	sort.Slice(kept, func(a, b int) bool {
-		if kept[a].Best.Err != kept[b].Best.Err {
-			return kept[a].Best.Err < kept[b].Best.Err
+	slices.SortFunc(kept, func(a, b NodeBest) int {
+		if c := cmp.Compare(a.Best.Err, b.Best.Err); c != 0 {
+			return c
 		}
-		if kept[a].Best.Gain != kept[b].Best.Gain {
-			return kept[a].Best.Gain > kept[b].Best.Gain
+		if c := cmp.Compare(b.Best.Gain, a.Best.Gain); c != 0 {
+			return c
 		}
-		return kept[a].Node < kept[b].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	return kept, work, reusedWork, hits, nil
 }

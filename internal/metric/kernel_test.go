@@ -96,6 +96,14 @@ func maskedVecs(rng *rand.Rand, n, patterns int, density int) []bitvec.Vec {
 // most once, with masked diff vectors.
 func randomRow(rng *rand.Rand, numPOs, patterns int) *cpm.Row {
 	row := &cpm.Row{}
+	fillRow(rng, row, numPOs, patterns)
+	return row
+}
+
+// fillRow overwrites row in place with a new random row, the way CPM
+// recycles row objects.
+func fillRow(rng *rand.Rand, row *cpm.Row, numPOs, patterns int) {
+	row.POs, row.Diffs = row.POs[:0], row.Diffs[:0]
 	for _, o := range rng.Perm(numPOs) {
 		if rng.Intn(3) == 0 {
 			continue
@@ -103,7 +111,6 @@ func randomRow(rng *rand.Rand, numPOs, patterns int) *cpm.Row {
 		row.POs = append(row.POs, int32(o))
 		row.Diffs = append(row.Diffs, maskedVecs(rng, 1, patterns, 1+rng.Intn(2))[0])
 	}
-	return row
 }
 
 // perturb flips a few random bits of a random PO and commits the result.
@@ -125,6 +132,12 @@ func perturb(rng *rand.Rand, st *State, approx []bitvec.Vec, patterns int) {
 // after many commits. The "wide" weights (24 unsigned POs) push the MSE
 // fold past 2^53, so evalMSE must decline some candidates, which the
 // scan then scores.
+//
+// Each bound row scores several candidates, as a target's candidates
+// share one row. A step's first row is the previous step's row rebound
+// after a CommitPO, and every row is one *cpm.Row object refilled in place
+// with other POs, so a binding that outlived the state or the row's
+// contents would show here.
 func TestKernelsMatchPerBitReference(t *testing.T) {
 	weightSets := []struct {
 		name    string
@@ -151,30 +164,36 @@ func TestKernelsMatchPerBitReference(t *testing.T) {
 				for o := range approx {
 					approx[o] = exact[o].Clone()
 				}
+				row := &cpm.Row{}
 				for step := 0; step < 25; step++ {
 					perturb(rng, st, approx, patterns)
-					for cand := 0; cand < 6; cand++ {
-						a := maskedVecs(rng, 1, patterns, 1+rng.Intn(3))[0]
-						var b bitvec.Vec
-						if rng.Intn(2) == 0 {
-							b = maskedVecs(rng, 1, patterns, 1)[0]
+					for r := 0; r < 3; r++ {
+						if r > 0 || step == 0 {
+							fillRow(rng, row, numPOs, patterns)
 						}
-						var inv uint64
-						if rng.Intn(2) == 0 {
-							inv = ^uint64(0)
-						}
-						row := randomRow(rng, numPOs, patterns)
-						if kind == MSE {
-							if _, ok := ev.evalMSE(a, b, inv, row); ok {
-								scored++
-							} else {
-								declined++
+						ev.BindRow(row)
+						for cand := 0; cand < 3; cand++ {
+							a := maskedVecs(rng, 1, patterns, 1+rng.Intn(3))[0]
+							var b bitvec.Vec
+							if rng.Intn(2) == 0 {
+								b = maskedVecs(rng, 1, patterns, 1)[0]
 							}
-						}
-						got := ev.EvalLACXor(a, b, inv, row)
-						want := refEval(st, a, b, inv, row)
-						if got != want {
-							t.Fatalf("%s/%d/%v step %d: kernel %v, per-bit reference %v", ws.name, patterns, kind, step, got, want)
+							var inv uint64
+							if rng.Intn(2) == 0 {
+								inv = ^uint64(0)
+							}
+							if kind == MSE {
+								if _, ok := ev.evalMSE(a, b, inv); ok {
+									scored++
+								} else {
+									declined++
+								}
+							}
+							got := ev.EvalLACXor(a, b, inv)
+							want := refEval(st, a, b, inv, row)
+							if got != want {
+								t.Fatalf("%s/%d/%v step %d row %d: kernel %v, per-bit reference %v", ws.name, patterns, kind, step, r, got, want)
+							}
 						}
 					}
 				}
@@ -219,7 +238,8 @@ func TestMSEKernelDeclinesInexactFold(t *testing.T) {
 	a := bitvec.Vec{0b11}
 	row := &cpm.Row{POs: []int32{numPOs - 1}, Diffs: []bitvec.Vec{{^uint64(0)}}}
 	ev := st.NewEvaluator()
-	if _, ok := ev.evalMSE(a, nil, 0, row); ok {
+	ev.BindRow(row)
+	if _, ok := ev.evalMSE(a, nil, 0); ok {
 		t.Fatal("evalMSE scored a candidate whose fold passes 2^53")
 	}
 	want := refEval(st, a, nil, 0, row)
@@ -227,7 +247,7 @@ func TestMSEKernelDeclinesInexactFold(t *testing.T) {
 	if want == float64(exactSum)/patterns {
 		t.Fatal("the fold stayed exact: the case no longer exercises rounding")
 	}
-	if got := ev.EvalLACXor(a, nil, 0, row); got != want {
+	if got := ev.EvalLACXor(a, nil, 0); got != want {
 		t.Fatalf("EvalLACXor %v, per-bit reference %v", got, want)
 	}
 }
@@ -324,32 +344,63 @@ func evalFixture(kind Kind) (*Evaluator, bitvec.Vec, *cpm.Row) {
 	}
 	ev := st.NewEvaluator()
 	a := maskedVecs(rng, 1, patterns, 1)[0]
-	ev.EvalLACXor(a, nil, 0, row) // grows the scan path's touched list
+	ev.BindRow(row)
+	ev.EvalLACXor(a, nil, 0) // grows the scan path's touched list
 	return ev, a, row
 }
 
-// A warmed evaluator scores candidates without allocating, for every
-// metric kind the LAC evaluator drives.
+// A warmed evaluator binds rows and scores candidates without allocating,
+// for every metric kind the LAC evaluator drives.
 func TestEvalLACXorAllocFree(t *testing.T) {
 	for _, kind := range []Kind{ER, MSE, MED, MHD, WCE} {
 		ev, a, row := evalFixture(kind)
-		if n := testing.AllocsPerRun(20, func() { ev.EvalLACXor(a, nil, ^uint64(0), row) }); n != 0 {
-			t.Errorf("%v: %v allocations per evaluation, want 0", kind, n)
+		if n := testing.AllocsPerRun(20, func() {
+			ev.BindRow(row)
+			ev.EvalLACXor(a, nil, ^uint64(0))
+		}); n != 0 {
+			t.Errorf("%v: %v allocations per bind and evaluation, want 0", kind, n)
 		}
 	}
+}
+
+// Scoring against a row bound before the last CommitPO panics rather than
+// use stale per-row caches.
+func TestEvalLACXorRejectsStaleBinding(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const numPOs, patterns = 5, 200
+	exact := maskedVecs(rng, numPOs, patterns, 1)
+	st := NewState(ER, exact, nil, patterns)
+	ev := st.NewEvaluator()
+	row := randomRow(rng, numPOs, patterns)
+	a := maskedVecs(rng, 1, patterns, 1)[0]
+	ev.BindRow(row)
+	ev.EvalLACXor(a, nil, 0)
+	approx := make([]bitvec.Vec, numPOs)
+	for o := range approx {
+		approx[o] = exact[o].Clone()
+	}
+	perturb(rng, st, approx, patterns)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EvalLACXor accepted a binding older than the last CommitPO")
+		}
+	}()
+	ev.EvalLACXor(a, nil, 0)
 }
 
 // evalSink keeps the benchmarked scores observable to the compiler.
 var evalSink float64
 
+// BenchmarkEvalLAC times one candidate against an already bound row; the
+// per-target BindRow is amortised over the target's candidates.
 func BenchmarkEvalLAC(b *testing.B) {
 	for _, kind := range []Kind{ER, MSE, MED, MHD, WCE} {
 		b.Run(fmt.Sprint(kind), func(b *testing.B) {
-			ev, a, row := evalFixture(kind)
+			ev, a, _ := evalFixture(kind) // returned bound to its row
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				evalSink = ev.EvalLACXor(a, nil, 0, row)
+				evalSink = ev.EvalLACXor(a, nil, 0)
 			}
 		})
 	}

@@ -145,6 +145,7 @@ type State struct {
 	errSum   float64 // MSE: Σ dev²; MED: Σ |dev|
 	errCount int     // ER: patterns with ≥1 mismatching PO
 	mismSum  int64   // MHD: mismatching (pattern, PO) pairs
+	commits  uint64  // CommitPO calls so far, to detect a stale BindRow
 
 	// wceMax caches max |dev| over all patterns for WCE. CommitPO keeps it
 	// current (rescanning when a pattern at the max shrinks), so Error stays
@@ -199,10 +200,19 @@ func mseKernel(w Weights, patterns int) bool {
 type Evaluator struct {
 	st *State
 
-	// Word-parallel kernels: per-word scratch sized by the PO count.
-	flips []plane  // MSE: the row's non-empty flip planes of one word
-	devs  []plane  // MSE: the word's non-empty deviation planes
-	rowF  []uint64 // ER: the row's flips of one word, indexed by PO
+	// The CPM row bound by BindRow, and the State's commit count then.
+	row   *cpm.Row
+	bound uint64
+
+	// ER: per word, the OR of every PO's deviation plane (was) and of the
+	// planes of the POs outside the bound row (other); inRow marks the
+	// row's POs while BindRow runs.
+	was, other []uint64
+	inRow      []bool
+
+	// MSE kernel: per-word scratch sized by the PO count.
+	flips []plane // the row's non-empty flip planes of one word
+	devs  []plane // the word's non-empty deviation planes
 
 	// Per-pattern scan (MED, WCE, and MSE where the kernel does not apply),
 	// allocated on first use.
@@ -216,7 +226,9 @@ func (st *State) NewEvaluator() *Evaluator {
 	ev := &Evaluator{st: st}
 	switch {
 	case st.kind == ER:
-		ev.rowF = make([]uint64, len(st.cur))
+		ev.was = make([]uint64, st.words)
+		ev.other = make([]uint64, st.words)
+		ev.inRow = make([]bool, len(st.cur))
 	case st.kind == MSE && st.planes != nil:
 		ev.flips = make([]plane, 0, len(st.cur))
 		ev.devs = make([]plane, 0, len(st.cur))
@@ -304,22 +316,55 @@ func (st *State) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
 	if st.def == nil {
 		st.def = st.NewEvaluator()
 	}
-	return st.def.EvalLAC(D, row)
+	st.def.BindRow(row)
+	return st.def.EvalLACXor(D, nil, 0)
 }
 
-// EvalLAC is the worker-scratch variant of State.EvalLAC.
-func (ev *Evaluator) EvalLAC(D bitvec.Vec, row *cpm.Row) float64 {
-	return ev.evalFlips(D, nil, 0, row)
+// BindRow makes row the CPM row that the following EvalLACXor calls score
+// against, typically the shared row of one target's candidates. Under ER it
+// caches per word the OR of all deviation planes and of the planes of the
+// POs outside the row, so that each candidate touches only the row's POs.
+// The binding reads the row's contents and the state as they are now:
+// rebind for every target, after any change to the row (rows are recycled
+// and refreshed in place), and after every CommitPO — EvalLACXor panics
+// on a binding older than the last commit.
+func (ev *Evaluator) BindRow(row *cpm.Row) {
+	st := ev.st
+	ev.row, ev.bound = row, st.commits
+	if st.kind != ER {
+		return
+	}
+	k := len(st.cur)
+	for _, o := range row.POs {
+		ev.inRow[o] = true
+	}
+	for wi := range ev.was {
+		var was, other uint64
+		for q, pl := range st.planes[wi*k : wi*k+k] {
+			was |= pl.bits
+			if !ev.inRow[q] {
+				other |= pl.bits
+			}
+		}
+		ev.was[wi], ev.other[wi] = was, other
+	}
+	for _, o := range row.POs {
+		ev.inRow[o] = false
+	}
 }
 
-// EvalLACXor is EvalLAC with the value-change mask supplied unmaterialised:
-// the mask is a ⊕ b ⊕ inv, where inv is a word-level complement mask (zero
-// or all-ones), so scoring a candidate needs no scratch diff vector at all.
-// A nil b stands for the all-zero vector (constant-0 replacement). Padding
-// bits that inv turns on past the logical length never contribute: the CPM
-// row vectors they are ANDed with are masked.
-func (ev *Evaluator) EvalLACXor(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	return ev.evalFlips(a, b, inv, row)
+// EvalLACXor scores a LAC against the bound row (BindRow) with the
+// value-change mask supplied unmaterialised: the mask is a ⊕ b ⊕ inv,
+// where inv is a word-level complement mask (zero or all-ones), so scoring
+// a candidate needs no scratch diff vector at all. A nil b stands for the
+// all-zero vector (constant-0 replacement). Padding bits that inv turns on
+// past the logical length never contribute: the CPM row vectors they are
+// ANDed with are masked.
+func (ev *Evaluator) EvalLACXor(a, b bitvec.Vec, inv uint64) float64 {
+	if ev.bound != ev.st.commits {
+		panic("metric: EvalLACXor on a row bound before the last CommitPO")
+	}
+	return ev.evalFlips(a, b, inv)
 }
 
 // flipWord returns word wi of the value-change mask a⊕b⊕inv (nil b = zero).
@@ -346,15 +391,15 @@ func flipWord(a, b bitvec.Vec, inv uint64, wi int) uint64 {
 //     of ±w over one pattern's flipped POs, added in row order, and the
 //     fold visits patterns in first-touch order; both orders are fixed by
 //     the row and the mask.
-func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	st := ev.st
+func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64) float64 {
+	st, row := ev.st, ev.row
 	switch {
 	case st.kind == ER:
-		return ev.evalER(a, b, inv, row)
+		return ev.evalER(a, b, inv)
 	case st.kind == MHD:
-		return ev.evalMHD(a, b, inv, row)
+		return ev.evalMHD(a, b, inv)
 	case st.kind == MSE && st.planes != nil:
-		if e, ok := ev.evalMSE(a, b, inv, row); ok {
+		if e, ok := ev.evalMSE(a, b, inv); ok {
 			return e
 		}
 	}
@@ -404,8 +449,8 @@ func (ev *Evaluator) evalFlips(a, b bitvec.Vec, inv uint64, row *cpm.Row) float6
 // evalMHD scores mean Hamming distance, which is linear in the per-(pattern,
 // PO) flips: a flip on an agreeing bit adds one mismatch, on a disagreeing
 // bit removes one. Both counts are word-level popcounts.
-func (ev *Evaluator) evalMHD(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	st := ev.st
+func (ev *Evaluator) evalMHD(a, b bitvec.Vec, inv uint64) float64 {
+	st, row := ev.st, ev.row
 	sum := st.mismSum
 	for ri, o := range row.POs {
 		p := row.Diffs[ri]
@@ -423,12 +468,13 @@ func (ev *Evaluator) evalMHD(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 
 }
 
 // evalER scores error rate by counting wrong patterns a word at a time.
-// With f_o the row's flips of PO o (zero for POs outside the row), the
-// patterns wrong after the LAC are ⋁_q (x_q ⊕ f_q), where x_q is PO q's
-// deviation plane; the count moves by the popcount difference between
-// that mask and the current ⋁_q x_q, on every word the row flips.
-func (ev *Evaluator) evalER(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
-	st := ev.st
+// With f_q the row's flips of PO q, the patterns wrong after the LAC are
+// other ∨ ⋁_{q∈row} (x_q ⊕ f_q), where x_q is PO q's deviation plane and
+// other the OR of the planes outside the row (cached by BindRow); the
+// count moves by the popcount difference between that mask and the
+// current OR of all planes, on every word the LAC flips.
+func (ev *Evaluator) evalER(a, b bitvec.Vec, inv uint64) float64 {
+	st, row := ev.st, ev.row
 	k := len(st.cur)
 	cnt := st.errCount
 	for wi := range a {
@@ -436,24 +482,11 @@ func (ev *Evaluator) evalER(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
 		if m == 0 {
 			continue
 		}
-		var u uint64
+		now := ev.other[wi]
 		for ri, o := range row.POs {
-			f := m & row.Diffs[ri][wi]
-			ev.rowF[o] = f
-			u |= f
+			now |= st.planes[wi*k+int(o)].bits ^ m&row.Diffs[ri][wi]
 		}
-		if u == 0 {
-			continue
-		}
-		var was, now uint64
-		for q, pl := range st.planes[wi*k : wi*k+k] {
-			was |= pl.bits
-			now |= pl.bits ^ ev.rowF[q]
-		}
-		cnt += bits.OnesCount64(now) - bits.OnesCount64(was)
-	}
-	for _, o := range row.POs {
-		ev.rowF[o] = 0
+		cnt += bits.OnesCount64(now) - bits.OnesCount64(ev.was[wi])
 	}
 	return float64(cnt) / float64(st.patterns)
 }
@@ -477,8 +510,8 @@ func (ev *Evaluator) evalER(a, b bitvec.Vec, inv uint64, row *cpm.Row) float64 {
 // where d = Σ_U (nd² − dev²) is the change computed here and Σ_U dev² is
 // bounded by the cached Σ dev² of the words U touches. When that bound
 // exceeds 2^53 evalMSE returns ok = false and the caller scans instead.
-func (ev *Evaluator) evalMSE(a, b bitvec.Vec, inv uint64, row *cpm.Row) (e float64, ok bool) {
-	st := ev.st
+func (ev *Evaluator) evalMSE(a, b bitvec.Vec, inv uint64) (e float64, ok bool) {
+	st, row := ev.st, ev.row
 	k := len(st.cur)
 	var sq, cross, touchedSq int64 // Σ Δ², Σ dev·Δ, Σ dev² over touched words
 	for wi := range a {
@@ -559,6 +592,7 @@ func (st *State) CommitPO(o int, newVal bitvec.Vec) {
 	curW := st.cur[o]
 	exW := st.exact[o]
 	k := len(st.cur)
+	st.commits++
 	for wi := 0; wi < st.words; wi++ {
 		d := curW[wi] ^ newVal[wi]
 		if d == 0 {

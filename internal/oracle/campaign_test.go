@@ -125,14 +125,15 @@ func TestExhaustiveModeExactCheck(t *testing.T) {
 }
 
 // TestDeterminismAcrossIrrelevantKnobs checks the metamorphic properties
-// that thread count and the CPM cache must not change any result bit.
+// that thread count and the CPM cache must not change any result bit, under
+// MED with constant LACs and under ER with SASIMI substitutions.
 func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 	g := gen.Random(7, 9, 7, 80)
-	base := RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
-		Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}}
-	ref, _, err := Execute(g, base)
-	if err != nil {
-		t.Fatal(err)
+	bases := []RunSpec{
+		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
+			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}},
+		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.ER, Threshold: 0.05,
+			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25, UseConstLACs: true, UseSASIMILACs: true}},
 	}
 	variants := []struct {
 		name string
@@ -142,15 +143,21 @@ func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 		{"threads-all", func(s *RunSpec) { s.Threads = 0 }},
 		{"no-cpm-cache", func(s *RunSpec) { s.NoCPMCache = true }},
 	}
-	for _, v := range variants {
-		spec := base
-		v.mut(&spec)
-		res, _, err := Execute(g, spec)
+	for _, base := range bases {
+		ref, _, err := Execute(g, base)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatal(err)
 		}
-		if d := Diverges(ref, res); d != "" {
-			t.Errorf("%s diverges from reference: %s", v.name, d)
+		for _, v := range variants {
+			spec := base
+			v.mut(&spec)
+			res, _, err := Execute(g, spec)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", base.Metric, v.name, err)
+			}
+			if d := Diverges(ref, res); d != "" {
+				t.Errorf("%v/%s diverges from reference: %s", base.Metric, v.name, d)
+			}
 		}
 	}
 }
