@@ -194,9 +194,10 @@ func BenchmarkComprehensiveAnalysis(b *testing.B) {
 // BenchmarkDualPhase measures a full multi-round dual-phase run (several
 // comprehensive analyses plus the phase-2 incremental iterations) on a
 // ~5k-AND circuit, with the persistent incremental CPM cache and the
-// cross-round phase-1 warm start ("cache") and with the pre-reuse
-// from-scratch rebuild of everything ("rebuild": ApproximateRebuild, the
-// engine's NoCPMCache + NoWarmStart hooks). Both modes are verified to produce identical results
+// cross-round phase-1 warm start ("cache") and with every row and cut
+// recomputed on every analysis ("rebuild": ApproximateRebuild, the
+// engine's NoCPMCache + NoWarmStart hooks — the same cache, recomputing
+// the rows it holds as valid). Both modes are verified to produce identical results
 // before timing starts, and the warm run must reuse phase-1 state and
 // make warm comprehensive passes ≥1.4× faster per pass than cold ones.
 // After the run the measurements are written to results/BENCH_phase2.json

@@ -228,6 +228,12 @@ func (c *campaign) runSeed(seed int64, maxPIs int, faults, emitFaultRepros bool)
 				spec = wceSpec(spec, g)
 			}
 			c.differential(g, spec)
+			if flow == core.FlowDPSA {
+				// Substitution LACs too: the cache and warm-start references
+				// must follow DP-SA's trajectory with SASIMI candidates on.
+				spec.UseSASIMILACs = true
+				c.differential(g, spec)
+			}
 		}
 	}
 	// Metamorphic extras rotate across seeds to keep a sweep affordable.

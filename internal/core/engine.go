@@ -110,9 +110,7 @@ func RunContext(ctx context.Context, g *aig.Graph, opt Options, hooks Hooks) (*R
 	e.finalizeWCE()
 	e.stats.Runtime = time.Since(start)
 	e.stats.NodesAfter = e.g.NumAnds()
-	if e.cache != nil {
-		e.stats.Pool = e.cache.Pool().Stats()
-	}
+	e.stats.Pool = e.cache.Pool().Stats()
 	sw := run.Child("sweep")
 	out := e.g.Sweep()
 	sw.End()
@@ -149,9 +147,9 @@ type engine struct {
 	s     *sim.Sim
 	st    *metric.State
 	cuts  *cut.Set   // nil for VECBEE flows
-	cache *cpm.Cache // persistent incremental CPM (dual-phase flows; nil when disabled)
+	cache *cpm.Cache // every disjoint-cut CPM analysis; bound to g and s
 	gen   *lac.Generator
-	memo  *lac.Memo // cross-round evaluation memo (dual-phase flows; nil when disabled)
+	memo  *lac.Memo // cross-round evaluation memo (dual-phase flows; nil disables it)
 	exact []bitvec.Vec
 	stats Stats
 
@@ -211,14 +209,12 @@ func (e *engine) sampleMetrics() {
 	m.Gauge("cpm_rows_reused").Set(float64(e.stats.CPMRowsReused))
 	m.Gauge("cpm_rows_recomputed").Set(float64(e.stats.CPMRowsRecomputed))
 	m.Gauge("eval_memo_hits").Set(float64(e.stats.EvalMemoHits))
-	if e.cache != nil {
-		ps := e.cache.Pool().Stats()
-		m.Gauge("pool_gets").Set(float64(ps.Gets))
-		m.Gauge("pool_puts").Set(float64(ps.Puts))
-		m.Gauge("pool_misses").Set(float64(ps.Misses))
-		m.Gauge("pool_high_water").Set(float64(ps.HighWater))
-		m.Gauge("pool_hit_rate").Set(ps.HitRate())
-	}
+	ps := e.cache.Pool().Stats()
+	m.Gauge("pool_gets").Set(float64(ps.Gets))
+	m.Gauge("pool_puts").Set(float64(ps.Puts))
+	m.Gauge("pool_misses").Set(float64(ps.Misses))
+	m.Gauge("pool_high_water").Set(float64(ps.HighWater))
+	m.Gauge("pool_hit_rate").Set(ps.HitRate())
 	m.TakeSample(e.iter)
 }
 
@@ -280,6 +276,7 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 		gen:       lac.NewGenerator(g, s, opt.lacOptions()),
 		poScratch: bitvec.NewWords(s.Words()),
 	}
+	e.newCache()
 	e.stats.NodesBefore = g.NumAnds()
 	if opt.Metric == metric.WCE {
 		// Certify against a frozen copy of the (swept) input — sweeping
@@ -290,6 +287,14 @@ func newEngine(orig *aig.Graph, opt Options, hooks Hooks) (*engine, error) {
 		e.lastGood = snapshot{g: g.Clone()}
 	}
 	return e, nil
+}
+
+// newCache binds a fresh CPM cache to the engine's graph and simulator.
+// Under Hooks.NoCPMCache it recomputes every row it is asked for while
+// charging the cached path's work (cpm.Cache.NoReuse).
+func (e *engine) newCache() {
+	e.cache = cpm.NewCache(e.g, e.s)
+	e.cache.NoReuse = e.hooks.NoCPMCache
 }
 
 // liveTargets returns all live AND nodes in topological order. The slice
@@ -354,16 +359,14 @@ func (e *engine) apply(l lac.LAC) aig.ChangeSet {
 		cu.End()
 		e.stats.CutTime += cu.Duration()
 		e.stats.CutWork += e.cuts.Work() - w0
-		if e.cache != nil && !e.fire(fault.SkipCPMInvalidate) {
+		if !e.fire(fault.SkipCPMInvalidate) {
 			e.cache.Invalidate(cs, changed, sv)
 		}
 	}
 	e.gen.Reindex()
-	if e.memo != nil {
-		// Any applied LAC moves the global metric state every evaluation is
-		// scored against: every memoized evaluation is stale now.
-		e.memo.Invalidate()
-	}
+	// Any applied LAC moves the global metric state every evaluation is
+	// scored against: every memoized evaluation is stale now.
+	e.memo.Invalidate()
 	e.stats.Applied++
 	e.iter++
 	if e.cert != nil {
@@ -448,11 +451,9 @@ func (e *engine) restore(sn snapshot) {
 		e.s.POVal(o, e.poScratch)
 		e.st.CommitPO(o, e.poScratch)
 	}
-	e.cuts = nil  // next comprehensive pass rebuilds the cuts
-	e.cache = nil // the cache is bound to the replaced graph/simulator
-	if e.memo != nil {
-		e.memo.Invalidate() // evaluations reference the replaced state
-	}
+	e.cuts = nil        // next comprehensive pass rebuilds the cuts
+	e.newCache()        // the old cache is bound to the replaced graph/simulator
+	e.memo.Invalidate() // evaluations reference the replaced state
 	e.gen = lac.NewGenerator(e.g, e.s, e.opt.lacOptions())
 	if e.cert != nil {
 		keep := e.pending[:0]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"dpals/internal/cpm"
@@ -10,13 +9,6 @@ import (
 	"dpals/internal/lac"
 	"dpals/internal/obs"
 )
-
-// useCache reports whether the persistent incremental CPM cache is active:
-// dual-phase flows only (the other flows have no phase-2 rows to reuse),
-// unless the differential-reference hook disables it.
-func (e *engine) useCache() bool {
-	return (e.opt.Flow == FlowDP || e.opt.Flow == FlowDPSA) && !e.hooks.NoCPMCache
-}
 
 // comprehensive performs the full error analysis of Fig. 3(b): disjoint
 // cuts of every node, full CPM, evaluation of every candidate LAC. It
@@ -77,51 +69,24 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 		e.cuts = cuts
 	}
 	targets := e.liveTargets()
-	var res *cpm.Result
-	var err error
-	var sp *obs.Span
-	var ctx context.Context
-	if e.useCache() {
-		if e.cache == nil {
-			e.cache = cpm.NewCache(e.g, e.s)
-		}
-		var upd cpm.Update
-		if warm {
-			sp, ctx = e.step(p1, "cpm.warm")
-			upd, err = e.cache.RefreshCtx(ctx, e.cuts, targets, e.opt.Threads)
-			sp.SetInt("rows_reused", int64(upd.Reused))
-			if upd.Needed > 0 {
-				sp.SetFloat("reuse_rate", float64(upd.Reused)/float64(upd.Needed))
-			}
-			e.stats.SkippedWork += upd.ReusedWork
-			e.stats.CPMRowsReused += int64(upd.Reused)
-			e.stats.Phase1RowsReused += int64(upd.Reused)
-		} else {
-			sp, ctx = e.step(p1, "cpm")
-			upd, err = e.cache.RebuildCtx(ctx, e.cuts, e.opt.Threads)
-		}
-		res = upd.Res
-		// Work + ReusedWork == the cold build's deterministic estimate.
-		e.stats.CPMWork += upd.Work + upd.ReusedWork
-		e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
-		e.stats.Phase1RowsRecomputed += int64(upd.Recomputed)
-		sp.SetInt("rows_recomputed", int64(upd.Recomputed))
-		sp.SetInt("work", upd.Work)
-	} else {
-		sp, ctx = e.step(p1, "cpm")
-		res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, nil, e.opt.Threads)
-		e.stats.CPMWork += res.Work
-		sp.SetInt("work", res.Work)
+	name := "cpm"
+	if warm {
+		name = "cpm.warm"
 	}
-	sp.End()
-	e.stats.CPMTime += sp.Duration()
+	upd, err := e.refreshCPM(p1, name, targets)
+	// Work + ReusedWork == the cold build's deterministic estimate.
+	e.stats.CPMWork += upd.Work + upd.ReusedWork
+	e.stats.SkippedWork += upd.ReusedWork
+	e.stats.Phase1RowsReused += int64(upd.Reused)
+	e.stats.Phase1RowsRecomputed += int64(upd.Recomputed)
 	if err != nil {
 		return nil
 	}
+	res := upd.Res
 	if e.fire(fault.FlipDiffBit) {
 		res.FlipDiffBit(e.hooks.Fault.Opportunities())
 	}
-	sp, ctx = e.step(p1, "eval")
+	sp, ctx := e.step(p1, "eval")
 	bests, ew, rw, hits, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads, e.memo)
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("lacs_best", int64(len(bests)))
@@ -137,6 +102,25 @@ func (e *engine) comprehensive(parent *obs.Span) []lac.NodeBest {
 	}
 	e.stats.Comprehensive++
 	return bests
+}
+
+// refreshCPM is the one CPM analysis of every disjoint-cut flow: it
+// ensures the rows of targets' closure through the engine's cache under a
+// span named name and records the time and row accounting. Which work the
+// Update charges to CPMWork is the caller's choice (phase 1 charges the
+// cold-equivalent, phase 2 only the recomputation).
+func (e *engine) refreshCPM(parent *obs.Span, name string, targets []int32) (cpm.Update, error) {
+	sp, ctx := e.step(parent, name)
+	upd, err := e.cache.RefreshCtx(ctx, e.cuts, targets, e.opt.Threads)
+	sp.SetInt("targets", int64(len(targets)))
+	sp.SetInt("rows_reused", int64(upd.Reused))
+	sp.SetInt("rows_recomputed", int64(upd.Recomputed))
+	sp.SetInt("work", upd.Work)
+	sp.End()
+	e.stats.CPMTime += sp.Duration()
+	e.stats.CPMRowsReused += int64(upd.Reused)
+	e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
+	return upd, err
 }
 
 // runConventional is the flow of Fig. 3(a): every iteration performs a
@@ -234,7 +218,7 @@ func (e *engine) vecbeeAnalysis() (bests []lac.NodeBest, ok bool) {
 	}
 	sp, ctx = e.step(p1, "eval")
 	targets := e.liveTargets()
-	bests, ew, err := lac.EvaluateTargetsCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads)
+	bests, ew, _, _, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, targets, e.opt.Threads, nil)
 	sp.SetInt("targets", int64(len(targets)))
 	sp.SetInt("work", ew)
 	sp.End()
@@ -416,11 +400,9 @@ func (e *engine) runDualPhase(selfAdapt bool) {
 					// comprehensive passes, so leave the parameters alone.
 					if e.opt.UseSASIMILACs && e.gen.MaxPerNode() > 1 {
 						e.gen.SetMaxPerNode(e.gen.MaxPerNode() / 2)
-						if e.memo != nil {
-							// Fewer candidates per node: memoized bests
-							// were picked from a larger candidate set.
-							e.memo.Invalidate()
-						}
+						// Fewer candidates per node: memoized bests were
+						// picked from a larger candidate set.
+						e.memo.Invalidate()
 					}
 				}
 				N = M / 3
@@ -507,31 +489,13 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		// Incremental analysis: serve the closure of S_cand from the
 		// cache, recomputing only rows invalidated since the last
 		// analysis — §III-C's reuse, bit-identical to a full rebuild.
-		sp, ctx := e.step(p2, "cpm")
-		sp.SetInt("scand", int64(len(scand)))
-		var res *cpm.Result
-		var err error
-		if e.cache != nil {
-			upd, rerr := e.cache.RowsCtx(ctx, scand, e.opt.Threads)
-			err = rerr
-			res = upd.Res
-			e.stats.CPMWork += upd.Work
-			e.stats.CPMRowsReused += int64(upd.Reused)
-			e.stats.CPMRowsRecomputed += int64(upd.Recomputed)
-			sp.SetInt("rows_reused", int64(upd.Reused))
-			sp.SetInt("rows_recomputed", int64(upd.Recomputed))
-			sp.SetInt("work", upd.Work)
-		} else {
-			res, err = cpm.BuildDisjointCtx(ctx, e.g, e.s, e.cuts, scand, e.opt.Threads)
-			e.stats.CPMWork += res.Work
-			sp.SetInt("work", res.Work)
-		}
-		sp.End()
-		e.stats.CPMTime += sp.Duration()
+		upd, err := e.refreshCPM(p2, "cpm", scand)
+		e.stats.CPMWork += upd.Work
 		if err != nil {
 			e.cancelled()
 			return true
 		}
+		res := upd.Res
 		if e.fire(fault.FlipDiffBit) {
 			res.FlipDiffBit(e.hooks.Fault.Opportunities())
 		}
@@ -539,7 +503,7 @@ func (e *engine) dualPhaseRound(round *obs.Span, M, N int, selfAdapt bool) (stop
 		// phase-2 evaluations, bumping the epoch): its value is that the
 		// final evaluation of a round that exits *without* applying stays
 		// fresh into the next comprehensive pass.
-		sp, ctx = e.step(p2, "eval")
+		sp, ctx := e.step(p2, "eval")
 		bests2, ew, rw, hits, err := lac.EvaluateTargetsMemoCtx(ctx, e.gen, res, e.st, scand, e.opt.Threads, e.memo)
 		sp.SetInt("targets", int64(len(scand)))
 		sp.SetInt("work", ew)

@@ -264,10 +264,16 @@ type Hooks struct {
 	// real engine bugs. Plans are single-use: never share one across runs.
 	Fault *fault.Plan
 
-	// NoCPMCache disables the persistent incremental CPM cache of the
-	// dual-phase flows and rebuilds the phase-2 CPM from scratch every
-	// iteration. Results are bit-identical either way; the switch is the
-	// differential reference for the cache.
+	// NoCPMCache makes the engine's CPM cache recompute every row an
+	// analysis asks for, the ones it holds as valid included, while
+	// charging CPMWork as the cached path does (valid rows charge their
+	// recorded work as reused; see cpm.Cache.NoReuse). The DP-SA
+	// trajectory therefore follows the cached run by construction, and a
+	// row the cache's invalidation missed shows up as a different result:
+	// the switch is the differential reference for the invalidation rule.
+	// Circuit, error, applied LACs, MTrace and every work counter match a
+	// cached run; only the CPM row counters and Pool differ, and they
+	// report the rows actually recomputed.
 	NoCPMCache bool
 
 	// NoWarmStart disables the cross-round warm start of the comprehensive
@@ -349,11 +355,13 @@ type Stats struct {
 	CPMWork  int64 `json:"cpm_work"`
 	EvalWork int64 `json:"eval_work"`
 
-	// CPM cache row accounting (dual-phase flows): how many of the rows
-	// needed by the analyses were served from the persistent incremental
-	// cache versus recomputed. Cold comprehensive passes recompute every
-	// row; warm passes and phase-2 iterations reuse whatever the applied
-	// LACs did not invalidate. Zero when the cache is unused by the flow.
+	// CPM cache row accounting (every disjoint-cut flow: conventional,
+	// AccALS, DP, DP-SA): how many of the rows needed by the analyses were
+	// served from the persistent incremental cache versus recomputed. Cold
+	// comprehensive passes — every pass of the conventional and AccALS
+	// baselines — recompute every row; warm passes and phase-2 iterations
+	// reuse whatever the applied LACs did not invalidate. Zero for VECBEE,
+	// which builds its one-cut CPM without the cache.
 	CPMRowsReused     int64 `json:"cpm_rows_reused"`
 	CPMRowsRecomputed int64 `json:"cpm_rows_recomputed"`
 
@@ -381,7 +389,8 @@ type Stats struct {
 	CutUpdates int `json:"cut_updates_incremental,omitempty"`
 
 	// Pool is the final snapshot of the CPM cache's diff-vector free list
-	// (dual-phase flows with the cache enabled; zero otherwise) —
+	// (every disjoint-cut flow; zero for VECBEE, and restarted by every
+	// rollback, which binds a new cache to the restored graph) —
 	// deterministic like the work counters, see bitvec.PoolStats.
 	Pool bitvec.PoolStats `json:"-"`
 

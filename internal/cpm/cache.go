@@ -36,15 +36,25 @@ type Update struct {
 // invalidated, instead of rebuilding the closure of S_cand from scratch on
 // every iteration (§III-C).
 //
-// The lifecycle mirrors the dual-phase loop:
+// Every disjoint-cut analysis of a run goes through one call,
+// RefreshCtx(ctx, cuts, targets, threads); the lifecycle mirrors the
+// dual-phase loop:
 //
-//	cache := NewCache(g, s)
-//	cache.Rebuild(cuts, threads)            // phase 1: full CPM
-//	for each phase-2 iteration {
-//	    upd := cache.Rows(scand, threads)   // reuse + recompute dirty
-//	    … evaluate LACs on upd.Res, apply one …
-//	    cache.Invalidate(cs, changed, sv)   // after every apply
+//	cache := NewCache(g, s)                           // one per graph/simulator
+//	for each round {
+//	    cache.RefreshCtx(ctx, cuts, live, threads)    // phase 1: a new cut set
+//	                                                  // rebuilds, a repaired one
+//	                                                  // recomputes stale rows
+//	    for each phase-2 iteration {
+//	        upd, _ := cache.RefreshCtx(ctx, cuts, scand, threads)
+//	        … evaluate LACs on upd.Res, apply one …
+//	        cache.Invalidate(cs, changed, sv)         // after every apply
+//	    }
 //	}
+//
+// Flows without incremental cut repair (the conventional and AccALS
+// baselines) build a new cut set per analysis, so each of their passes is
+// a full rebuild that recycles the previous pass's vectors.
 //
 // Invalidation rule (change signals → dependency closure → recompute set):
 // an applied LAC announces itself through three signals the engine already
@@ -75,6 +85,15 @@ type Update struct {
 // A Cache is not safe for concurrent use; its methods must be called from
 // one goroutine (the internal wave fan-out is race-clean).
 type Cache struct {
+	// NoReuse makes RefreshCtx recompute every row of the closure, the
+	// valid ones included, while Update.Work and Update.ReusedWork keep
+	// the cached path's split (valid rows charge their recorded work as
+	// reused). Update.Reused is then 0. A caller charging work from the
+	// Update follows exactly the trajectory of a cached run, so any row
+	// Invalidate failed to mark stale shows up as a divergence: this is
+	// the differential reference for the invalidation rule.
+	NoReuse bool
+
 	g    *aig.Graph
 	s    *sim.Sim
 	cuts *cut.Set
@@ -91,14 +110,14 @@ type Cache struct {
 	// epoch-stamped scratch (avoids per-call maps and clears)
 	mark      []uint32
 	epoch     uint32
-	queue     []int32 // Invalidate BFS / Rows closure scratch
-	recompute []int32 // Rows recompute-set scratch
+	queue     []int32 // Invalidate BFS / RefreshCtx closure scratch
+	recompute []int32 // RefreshCtx recompute-set scratch
+	again     []int32 // RefreshCtx scratch: valid rows recomputed under NoReuse
 	lvl       []int32 // wave levels, meaningful only under inSet
 	inSet     []bool  // recompute-set membership during runWaves
 }
 
-// NewCache returns an empty cache for g simulated by s. Rebuild must run
-// before the first Rows call.
+// NewCache returns an empty cache for g simulated by s.
 func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 	n := g.NumVars()
 	return &Cache{
@@ -119,7 +138,7 @@ func NewCache(g *aig.Graph, s *sim.Sim) *Cache {
 }
 
 // Result returns the shared result the cached rows live in. Rows are only
-// guaranteed valid for closures ensured by the last Rebuild/Rows call.
+// guaranteed valid for closures ensured by the last RefreshCtx call.
 func (c *Cache) Result() *Result { return c.res }
 
 // Pool exposes the diff-vector pool (for allocation-reuse introspection).
@@ -166,47 +185,21 @@ func (c *Cache) simulators(workers int) ([]*regionSimulator, []map[int32]bool) {
 	return c.rss[:workers], c.cutSets[:workers]
 }
 
-// Rebuild performs the comprehensive (phase-1) build: every live AND row is
-// recomputed against cuts and retained. Previously cached vectors are
-// recycled through the pool first, so repeated rounds reuse the same
-// backing memory. The produced rows are bit-identical to
-// BuildDisjoint(g, s, cuts, nil, threads).
+// Rebuild performs a full build: every live AND row is recomputed against
+// cuts and retained, whatever the cache held before. It is RefreshCtx over
+// all live ANDs after forgetting the previous cut set, so previously
+// cached vectors are recycled through the pool and the rows are
+// bit-identical to BuildDisjoint(g, s, cuts, nil, threads).
 func (c *Cache) Rebuild(cuts *cut.Set, threads int) Update {
-	upd, _ := c.RebuildCtx(context.Background(), cuts, threads)
-	return upd
-}
-
-// RebuildCtx is Rebuild with cooperative cancellation: the build checks
-// ctx at every wave boundary and stops early once it is cancelled,
-// returning ctx.Err(). On cancellation every row touched by this build is
-// released again (the cache is left consistent, holding no valid rows),
-// so the returned Update must be discarded; an uncancelled build is
-// bit-identical to Rebuild.
-func (c *Cache) RebuildCtx(ctx context.Context, cuts *cut.Set, threads int) (Update, error) {
-	c.cuts = cuts
-	for v := range c.res.rows {
-		if len(c.res.rows[v].Diffs) > 0 {
-			c.releaseRow(int32(v))
-		} else {
-			c.valid[int32(v)] = false
-		}
-	}
-	c.refreshPos()
-	workBefore := c.res.Work
-	proc := c.recompute[:0]
+	var ands []int32
 	for _, v := range c.g.Topo() {
 		if c.g.IsAnd(v) {
-			proc = append(proc, v)
+			ands = append(ands, v)
 		}
 	}
-	err := c.runWaves(ctx, proc, threads)
-	c.recompute = proc[:0]
-	return Update{
-		Res:        c.res,
-		Needed:     len(proc),
-		Recomputed: len(proc),
-		Work:       c.res.Work - workBefore,
-	}, err
+	c.cuts = nil
+	upd, _ := c.RefreshCtx(context.Background(), cuts, ands, threads)
+	return upd
 }
 
 // Invalidate marks every row the applied LAC may have changed as stale and
@@ -259,11 +252,7 @@ func (c *Cache) Invalidate(cs aig.ChangeSet, changed, cutsRecomputed []int32) {
 		push(f1.Var())
 	}
 	for _, v := range q {
-		if len(c.res.rows[v].Diffs) > 0 {
-			c.releaseRow(v)
-		} else {
-			c.valid[v] = false
-		}
+		c.releaseRow(v)
 	}
 	c.queue = q[:0]
 }
@@ -274,42 +263,32 @@ func (c *Cache) Refresh(cuts *cut.Set, targets []int32, threads int) Update {
 	return upd
 }
 
-// RefreshCtx is the warm counterpart of RebuildCtx for the cross-round
-// reuse of the dual-phase framework: it ensures valid rows for every node
-// in targets — the live AND nodes of the graph — recomputing only the rows
-// invalidated since the previous build and serving everything else from
-// the cache, so a comprehensive pass becomes "recompute stale rows"
-// instead of "revalidate everything". The produced rows are bit-identical
-// to RebuildCtx over the same cut set (PR 2's cache invariant, applied at
-// round granularity), and Update.Work + Update.ReusedWork reproduces the
-// cold build's deterministic work estimate.
+// RefreshCtx ensures valid rows for the disjoint-cut closure of targets
+// (§III-C N(S_cand)) and returns the shared Result plus reuse accounting.
+// It is the cache's one build entry point: a phase-1 pass asks for every
+// live AND, a phase-2 iteration for S_cand. Only the stale rows of the
+// closure are recomputed; everything else is served from the cache. Row
+// contents are bit-identical to a from-scratch
+// BuildDisjoint(g, s, cuts, targets, threads) for every thread count, and
+// Update.Work + Update.ReusedWork reproduces that build's deterministic
+// work estimate.
 //
-// The warm path requires the same incrementally-maintained cut set the
-// cached rows were built against; handed a different (rebuilt) set it
-// falls back to a full RebuildCtx, because row validity is only meaningful
-// relative to the cuts the rows were constructed with.
+// Row validity is only meaningful relative to the cut set the rows were
+// built against, so handed a different set than the last call (a rebuilt
+// one, or the first set ever) the cache releases every row and adopts the
+// new set first; over all live ANDs that is a full rebuild.
+//
+// Cancellation is checked at every wave boundary. On a non-nil error the
+// rows recomputed by this call are released again and the Update must be
+// discarded, while previously valid rows stay valid (except under
+// NoReuse, which recomputes those too).
 func (c *Cache) RefreshCtx(ctx context.Context, cuts *cut.Set, targets []int32, threads int) (Update, error) {
 	if cuts != c.cuts {
-		return c.RebuildCtx(ctx, cuts, threads)
+		c.cuts = cuts
+		for v := range c.res.rows {
+			c.releaseRow(int32(v))
+		}
 	}
-	return c.RowsCtx(ctx, targets, threads)
-}
-
-// Rows ensures valid rows for the disjoint-cut closure of targets (§III-C
-// N(S_cand)) and returns the shared Result plus reuse accounting. Only
-// stale rows of the closure are recomputed; everything else is served from
-// the cache. Row contents are bit-identical to a from-scratch
-// BuildDisjoint(g, s, cuts, targets, threads) for every thread count.
-func (c *Cache) Rows(targets []int32, threads int) Update {
-	upd, _ := c.RowsCtx(context.Background(), targets, threads)
-	return upd
-}
-
-// RowsCtx is Rows with cooperative cancellation, with the same contract
-// as RebuildCtx: on a non-nil error the recomputed rows of this call are
-// released again and the Update must be discarded, while previously valid
-// cached rows stay valid.
-func (c *Cache) RowsCtx(ctx context.Context, targets []int32, threads int) (Update, error) {
 	c.refreshPos()
 	workBefore := c.res.Work
 
@@ -332,14 +311,20 @@ func (c *Cache) RowsCtx(ctx context.Context, targets []int32, threads int) (Upda
 		}
 	}
 	proc := c.recompute[:0]
+	again := c.again[:0]
 	var reusedWork int64
 	for _, v := range need {
 		if !c.valid[v] {
 			proc = append(proc, v)
-		} else {
-			reusedWork += c.rowWork[v]
+			continue
+		}
+		reusedWork += c.rowWork[v]
+		if c.NoReuse {
+			c.releaseRow(v)
+			again = append(again, v)
 		}
 	}
+	proc = append(proc, again...)
 	err := c.runWaves(ctx, proc, threads)
 	upd := Update{
 		Res:        c.res,
@@ -349,8 +334,14 @@ func (c *Cache) RowsCtx(ctx context.Context, targets []int32, threads int) (Upda
 		Work:       c.res.Work - workBefore,
 		ReusedWork: reusedWork,
 	}
+	// Under NoReuse the valid rows were recomputed too, but Work charges
+	// only the stale ones, exactly like the cached path.
+	for _, v := range again {
+		upd.Work -= c.rowWork[v]
+	}
 	c.queue = need[:0]
 	c.recompute = proc[:0]
+	c.again = again[:0]
 	return upd, err
 }
 
@@ -406,11 +397,7 @@ func (c *Cache) runWaves(ctx context.Context, proc []int32, threads int) error {
 	for _, v := range proc {
 		c.inSet[v] = false
 		if err != nil {
-			if len(c.res.rows[v].Diffs) > 0 {
-				c.releaseRow(v)
-			} else {
-				c.valid[v] = false
-			}
+			c.releaseRow(v)
 			continue
 		}
 		c.valid[v] = true

@@ -83,11 +83,18 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 	s := sim.New(g, sim.Options{Patterns: 256, Seed: seed, Threads: threads})
 	cuts := cut.NewSet(g, threads)
 	cache := NewCache(g, s)
+	// The NoReuse twin recomputes every requested row but must report the
+	// cached path's work split; the blind twin is never invalidated, so its
+	// rows are correct only because NoReuse ignores validity.
+	twin, blind := NewCache(g, s), NewCache(g, s)
+	twin.NoReuse, blind.NoReuse = true, true
 
 	var acct []stepAcct
 
 	// Phase-1 equivalent: full build, compared against BuildDisjoint(nil).
 	upd := cache.Rebuild(cuts, threads)
+	twin.Rebuild(cuts, threads)
+	blind.Rebuild(cuts, threads)
 	ref := BuildDisjoint(g, s, cuts, nil, threads)
 	if upd.Work != ref.Work {
 		t.Fatalf("threads=%d: Rebuild work %d, fresh build work %d", threads, upd.Work, ref.Work)
@@ -109,6 +116,7 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 		changed := s.ResimulateFrom(cs.Rewired)
 		sv := cuts.UpdateAfter(cs)
 		cache.Invalidate(cs, changed, sv)
+		twin.Invalidate(cs, changed, sv)
 
 		// Random target set over the live nodes (like S_cand).
 		var live []int32
@@ -130,10 +138,17 @@ func runCacheSequence(t *testing.T, seed int64, threads int) []stepAcct {
 			targets = live[:1]
 		}
 
-		u := cache.Rows(targets, threads)
+		u := cache.Refresh(cuts, targets, threads)
+		tu := twin.Refresh(cuts, targets, threads)
+		bu := blind.Refresh(cuts, targets, threads)
+		if tu.Work != u.Work || tu.ReusedWork != u.ReusedWork || tu.Reused != 0 || tu.Recomputed != u.Needed {
+			t.Fatalf("threads=%d step %d: NoReuse update %+v, cached %+v", threads, step, tu, u)
+		}
 		refPart := BuildDisjoint(g, s, cuts, targets, threads)
 		for _, w := range targets {
 			compareRow(t, "rows", w, u.Res.Row(w), refPart.Row(w))
+			compareRow(t, "no-reuse", w, tu.Res.Row(w), refPart.Row(w))
+			compareRow(t, "no-reuse blind", w, bu.Res.Row(w), refPart.Row(w))
 		}
 		// The whole ensured closure must equal a full fresh build too (the
 		// partial reference frees its intermediates, so compare against a
@@ -213,7 +228,7 @@ func TestCacheOnGeneratedCircuit(t *testing.T) {
 		if len(targets) == 0 {
 			break
 		}
-		u := cache.Rows(targets, 0)
+		u := cache.Refresh(cuts, targets, 0)
 		reused += u.Reused
 		ref := BuildDisjoint(g, s, cuts, nil, 0)
 		for _, w := range targets {
@@ -251,7 +266,7 @@ func TestCachePoolRecycles(t *testing.T) {
 				targets = append(targets, u)
 			}
 		}
-		cache.Rows(targets, 1)
+		cache.Refresh(cuts, targets, 1)
 	}
 	ps1 := cache.Pool().Stats()
 	if ps1.Gets == ps0.Gets {

@@ -446,17 +446,10 @@ func (b *disjointBuilder) processNode(rs *regionSimulator, cutSet map[int32]bool
 // cut-element dependency DAG — a node's row depends only on the rows of
 // its non-sink cut elements, read-only simulation values, and the shared
 // cut set — and the result is bit-identical for every thread count.
+//
+// The synthesis engine builds its rows through Cache.RefreshCtx; this
+// independent builder is the reference the cache is tested against.
 func BuildDisjoint(g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) *Result {
-	res, _ := BuildDisjointCtx(context.Background(), g, s, cuts, targets, threads)
-	return res
-}
-
-// BuildDisjointCtx is BuildDisjoint with cooperative cancellation: the
-// build checks ctx at every wave boundary and stops early once it is
-// cancelled, returning the partial result alongside ctx.Err(). A non-nil
-// error means the rows are incomplete and must be discarded; an
-// uncancelled build is bit-identical to BuildDisjoint.
-func BuildDisjointCtx(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.Set, targets []int32, threads int) (*Result, error) {
 	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
 
 	var procList []int32
@@ -525,13 +518,11 @@ func BuildDisjointCtx(ctx context.Context, g *aig.Graph, s *sim.Sim, cuts *cut.S
 		cutSets[w] = make(map[int32]bool)
 	}
 	for _, wave := range waves {
-		if err := par.ForEachCtx(ctx, threads, wave, func(w int, v int32) {
+		par.ForEach(threads, wave, func(w int, v int32) {
 			b.processNode(rss[w], cutSets[w], v)
-		}); err != nil {
-			return res, err
-		}
+		})
 	}
-	return res, nil
+	return res
 }
 
 // ReachSets computes, for every variable, the bitset of PO indices
@@ -659,8 +650,11 @@ func BuildVECBEE(g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) 
 	return res
 }
 
-// BuildVECBEECtx is BuildVECBEE with cooperative cancellation, with the
-// same partial-result contract as BuildDisjointCtx.
+// BuildVECBEECtx is BuildVECBEE with cooperative cancellation: the build
+// checks ctx at every wave boundary and stops early once it is cancelled,
+// returning the partial result alongside ctx.Err(). A non-nil error means
+// the rows are incomplete and must be discarded; an uncancelled build is
+// bit-identical to BuildVECBEE.
 func BuildVECBEECtx(ctx context.Context, g *aig.Graph, s *sim.Sim, l int, targets []int32, threads int) (*Result, error) {
 	res := &Result{Words: s.Words(), rows: make([]Row, g.NumVars())}
 	keep := make([]bool, g.NumVars())

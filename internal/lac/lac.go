@@ -416,8 +416,13 @@ func NewMemo(numVars int) *Memo {
 }
 
 // Invalidate starts a new epoch, atomically dropping every memoized
-// evaluation. Cheap: entries age out by stamp mismatch.
-func (m *Memo) Invalidate() { m.epoch++ }
+// evaluation. Cheap: entries age out by stamp mismatch. A nil memo (no
+// memoization) has nothing to drop.
+func (m *Memo) Invalidate() {
+	if m != nil {
+		m.epoch++
+	}
+}
 
 // fresh reports whether v's stored evaluation is from the current epoch.
 func (m *Memo) fresh(v int32) bool { return m != nil && m.stamp[v] == m.epoch }
@@ -447,24 +452,19 @@ type NodeBest struct {
 // thread count: each worker evaluates whole targets with private scratch
 // and writes only its target's slot.
 func EvaluateTargets(gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int) ([]NodeBest, int64) {
-	bests, work, _ := EvaluateTargetsCtx(context.Background(), gen, res, st, targets, threads)
+	bests, work, _, _, _ := EvaluateTargetsMemoCtx(context.Background(), gen, res, st, targets, threads, nil)
 	return bests, work
 }
 
-// EvaluateTargetsCtx is EvaluateTargets with cooperative cancellation: it
-// stops handing out targets once ctx is cancelled and returns ctx.Err()
-// alongside the partial (unsorted, incomplete) bests, which the caller
-// must discard. An uncancelled run is bit-identical to EvaluateTargets.
-func EvaluateTargetsCtx(ctx context.Context, gen *Generator, res *cpm.Result, st *metric.State, targets []int32, threads int) ([]NodeBest, int64, error) {
-	bests, work, _, _, err := EvaluateTargetsMemoCtx(ctx, gen, res, st, targets, threads, nil)
-	return bests, work, err
-}
-
-// EvaluateTargetsMemoCtx is EvaluateTargetsCtx with cross-call
-// memoization: targets whose memo entry is from the current epoch skip
-// both candidate generation and evaluation and reuse the stored NodeBest —
-// bit-identical by the Memo epoch contract — while every freshly evaluated
-// target is stored back. A nil memo disables memoization.
+// EvaluateTargetsMemoCtx is EvaluateTargets with cooperative cancellation
+// and cross-call memoization. Cancellation stops handing out targets once
+// ctx is cancelled and returns ctx.Err() alongside partial (unsorted,
+// incomplete) bests, which the caller must discard; an uncancelled run is
+// bit-identical to EvaluateTargets. Targets whose memo entry is from the
+// current epoch skip both candidate generation and evaluation and reuse
+// the stored NodeBest — bit-identical by the Memo epoch contract — while
+// every freshly evaluated target is stored back. A nil memo disables
+// memoization.
 //
 // The returned work includes reusedWork, the recorded work estimate of the
 // reused evaluations: an unchanged state implies an identical re-evaluation

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 
 	"dpals/internal/aig"
 	"dpals/internal/aiger"
@@ -25,10 +26,11 @@ type RunSpec struct {
 	core.Options
 
 	// NoCPMCache and NoWarmStart select the engine's differential
-	// references (see core.Hooks): runs with and without them must be
-	// bit-identical, so pairing a spec with its twin is a differential
-	// check on the CPM cache and on the whole cross-round reuse layer
-	// (incremental cut carry-over, CPM row refresh, eval memo).
+	// references (see core.Hooks): a run with either must produce the same
+	// circuit, error and DP-SA trajectory as without, so pairing a spec
+	// with its twin is a differential check on the CPM cache's
+	// invalidation and on the whole cross-round reuse layer (incremental
+	// cut carry-over, CPM row refresh, eval memo).
 	NoCPMCache  bool `json:"noCPMCache,omitempty"`
 	NoWarmStart bool `json:"noWarmStart,omitempty"`
 
@@ -279,8 +281,10 @@ func weightsFor(opt core.Options, g *aig.Graph) metric.Weights {
 // Diverges compares two results of supposedly identical runs — same spec
 // up to an irrelevant knob (thread count, CPM cache on/off) — and returns
 // "" when they are bit-identical, or a description of the first
-// difference. Graphs are compared by their serialised AIGER bytes, the
-// strictest structural equality available.
+// difference. Besides the error and the applied-LAC count it compares the
+// DP-SA self-adaption trajectory (MTrace), which moves when the
+// deterministic work profile does. Graphs are compared by their
+// serialised AIGER bytes, the strictest structural equality available.
 func Diverges(a, b *core.Result) string {
 	if (a == nil) != (b == nil) {
 		return "one run returned a result, the other none"
@@ -293,6 +297,9 @@ func Diverges(a, b *core.Result) string {
 	}
 	if a.Stats.Applied != b.Stats.Applied {
 		return fmt.Sprintf("applied-LAC counts differ: %d vs %d", a.Stats.Applied, b.Stats.Applied)
+	}
+	if !slices.Equal(a.Stats.MTrace, b.Stats.MTrace) {
+		return fmt.Sprintf("DP-SA M trajectories differ: %v vs %v", a.Stats.MTrace, b.Stats.MTrace)
 	}
 	ab, bb := aigerBytes(a.Graph), aigerBytes(b.Graph)
 	if !bytes.Equal(ab, bb) {

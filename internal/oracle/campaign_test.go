@@ -24,7 +24,7 @@ func testbeds() []*aig.Graph {
 
 // baseSpecs are the campaign configurations the fault scan tries, most
 // fault-sensitive first: the dual-phase flows exercise every injection
-// site (CPM cache invalidation and diff rows only exist there).
+// site (CPM cache invalidation only happens there).
 func baseSpecs() []RunSpec {
 	return []RunSpec{
 		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 6, Patterns: 256, Seed: 1, Threads: 1, MaxIters: 30}},
@@ -126,14 +126,24 @@ func TestExhaustiveModeExactCheck(t *testing.T) {
 
 // TestDeterminismAcrossIrrelevantKnobs checks the metamorphic properties
 // that thread count and the CPM cache must not change any result bit, under
-// MED with constant LACs and under ER with SASIMI substitutions.
+// MED with constant LACs and under ER and MSE with SASIMI substitutions.
+// The MSE case is a DP-SA run whose self-adaption moves with the CPM work
+// charged in phase 2, so a reference that charges differently from the
+// cached path shows up as a different M trajectory.
 func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
-	g := gen.Random(7, 9, 7, 80)
-	bases := []RunSpec{
-		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
-			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}},
-		{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.ER, Threshold: 0.05,
-			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25, UseConstLACs: true, UseSASIMILACs: true}},
+	rnd, mult := gen.Random(7, 9, 7, 80), gen.MultU(6, 6)
+	r := metric.ReferenceError(mult.NumPOs())
+	bases := []struct {
+		name string
+		g    *aig.Graph
+		spec RunSpec
+	}{
+		{"random/MED", rnd, RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MED, Threshold: 8,
+			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25}}},
+		{"random/ER+sasimi", rnd, RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.ER, Threshold: 0.05,
+			Patterns: 512, Seed: 6, Threads: 1, MaxIters: 25, UseConstLACs: true, UseSASIMILACs: true}}},
+		{"multu6x6/MSE+sasimi", mult, RunSpec{Options: core.Options{Flow: core.FlowDPSA, Metric: metric.MSE, Threshold: r * r,
+			Patterns: 1024, Seed: 1, Threads: 1, UseConstLACs: true, UseSASIMILACs: true}}},
 	}
 	variants := []struct {
 		name string
@@ -144,19 +154,22 @@ func TestDeterminismAcrossIrrelevantKnobs(t *testing.T) {
 		{"no-cpm-cache", func(s *RunSpec) { s.NoCPMCache = true }},
 	}
 	for _, base := range bases {
-		ref, _, err := Execute(g, base)
+		ref, _, err := Execute(base.g, base.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(ref.Stats.MTrace) < 2 {
+			t.Fatalf("%s: M trajectory %v too short to tell trajectories apart", base.name, ref.Stats.MTrace)
+		}
 		for _, v := range variants {
-			spec := base
+			spec := base.spec
 			v.mut(&spec)
-			res, _, err := Execute(g, spec)
+			res, _, err := Execute(base.g, spec)
 			if err != nil {
-				t.Fatalf("%v/%s: %v", base.Metric, v.name, err)
+				t.Fatalf("%s/%s: %v", base.name, v.name, err)
 			}
 			if d := Diverges(ref, res); d != "" {
-				t.Errorf("%v/%s diverges from reference: %s", base.Metric, v.name, d)
+				t.Errorf("%s/%s diverges from reference: %s", base.name, v.name, d)
 			}
 		}
 	}
