@@ -486,8 +486,11 @@ func (e *engine) certifyAt(t uint64) bool {
 	}
 	sp := e.cur.Child("cert")
 	sp.SetInt("bound", int64(t))
+	conf, props := e.cert.Conflicts, e.cert.Propagations
 	ok, err := e.cert.CheckAt(e.g, t)
 	sp.SetInt("sat_calls", int64(e.cert.Calls))
+	sp.SetInt("conflicts", e.cert.Conflicts-conf)
+	sp.SetInt("propagations", e.cert.Propagations-props)
 	sp.End()
 	e.stats.CertTime += sp.Duration()
 	e.stats.CertCalls = e.cert.Calls

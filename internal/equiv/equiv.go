@@ -123,7 +123,8 @@ func buildWCEMiter(orig, approx *aig.Graph, t uint64) *aig.Graph {
 // orig (unsigned LSB-first output interpretation) is at most t for every
 // input. On failure it returns a violating input assignment.
 func WCEAtMost(orig, approx *aig.Graph, t uint64) (bool, []bool, error) {
-	return wceAtMost(orig, approx, t, 0)
+	ok, cex, _, err := wceAtMost(orig, approx, t, 0)
+	return ok, cex, err
 }
 
 // ErrBudget reports that a conflict-limited certification call ran out of
@@ -131,21 +132,27 @@ func WCEAtMost(orig, approx *aig.Graph, t uint64) (bool, []bool, error) {
 // certification (roll back), which keeps runs deterministic.
 var ErrBudget = errors.New("equiv: certification conflict budget exhausted")
 
+// solveCost is the solver work of one certification call.
+type solveCost struct {
+	conflicts, propagations int64
+}
+
 // wceAtMost is WCEAtMost with a conflict budget (0 = unlimited); hitting
-// the budget returns ErrBudget.
-func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, error) {
+// the budget returns ErrBudget. It also reports the solver work spent.
+func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, solveCost, error) {
+	var cost solveCost
 	if orig.NumPIs() != approx.NumPIs() || orig.NumPOs() != approx.NumPOs() {
-		return false, nil, errors.New("equiv: interface mismatch")
+		return false, nil, cost, errors.New("equiv: interface mismatch")
 	}
 	if orig.NumPOs() > 63 {
-		return false, nil, errors.New("equiv: WCE certification limited to ≤ 63 outputs")
+		return false, nil, cost, errors.New("equiv: WCE certification limited to ≤ 63 outputs")
 	}
 	// |orig − approx| ≤ 2^K − 1 always; a threshold at or above that is
 	// trivially satisfied. This also guards the miter construction, whose
 	// threshold word is only K bits wide — encoding a larger t there would
 	// silently truncate it mod 2^K and report a spurious violation.
 	if maxDiff := uint64(1)<<uint(orig.NumPOs()) - 1; t >= maxDiff {
-		return true, nil, nil
+		return true, nil, cost, nil
 	}
 	m := buildWCEMiter(orig, approx, t)
 	s := sat.New()
@@ -156,22 +163,24 @@ func wceAtMost(orig, approx *aig.Graph, t uint64, limit int64) (bool, []bool, er
 	}
 	outs := tseitin(s, m, piVars)
 	if !s.AddClause(outs[0]) {
-		return true, nil, nil
+		return true, nil, cost, nil
 	}
-	switch s.Solve() {
+	st := s.Solve()
+	cost = solveCost{s.Conflicts(), s.Propagations()}
+	switch st {
 	case sat.Unsat:
-		return true, nil, nil
+		return true, nil, cost, nil
 	case sat.Sat:
 		cex := make([]bool, len(piVars))
 		for i, v := range piVars {
 			cex[i] = s.Model(v)
 		}
-		return false, cex, nil
+		return false, cex, cost, nil
 	}
 	if limit > 0 {
-		return false, nil, ErrBudget
+		return false, nil, cost, ErrBudget
 	}
-	return false, nil, errors.New("equiv: solver limit reached")
+	return false, nil, cost, errors.New("equiv: solver limit reached")
 }
 
 // evalOutputs evaluates g on one input assignment and returns the PO
@@ -235,14 +244,18 @@ type certCex struct {
 type Certifier struct {
 	orig *aig.Graph
 
-	// Limit caps the SAT conflicts of each certification call; 0 means
-	// unlimited. An exhausted budget surfaces as ErrBudget.
+	// Limit caps the SAT conflicts of each certification call on its own
+	// (sat.Solver.MaxConflicts); 0 means unlimited. An exhausted budget
+	// surfaces as ErrBudget.
 	Limit int64
 
 	// Calls counts SAT solver invocations; CexHits counts certifications
-	// refuted by a cached counterexample with no solver work.
-	Calls   int
-	CexHits int
+	// refuted by a cached counterexample with no solver work. Conflicts and
+	// Propagations total the solver work of all calls.
+	Calls        int
+	CexHits      int
+	Conflicts    int64
+	Propagations int64
 
 	cexs []certCex
 }
@@ -261,8 +274,10 @@ func (c *Certifier) CheckAt(approx *aig.Graph, t uint64) (bool, error) {
 			return false, nil
 		}
 	}
-	ok, cex, err := wceAtMost(c.orig, approx, t, c.Limit)
+	ok, cex, cost, err := wceAtMost(c.orig, approx, t, c.Limit)
 	c.Calls++
+	c.Conflicts += cost.conflicts
+	c.Propagations += cost.propagations
 	if err != nil {
 		return false, err
 	}
